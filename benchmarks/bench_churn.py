@@ -29,25 +29,10 @@ script::
     PYTHONPATH=src python benchmarks/bench_churn.py \
         --users 50000 --ticks 20 --out BENCH_churn.json
 
-A fourth section benchmarks the **tuning** layer (:mod:`repro.tuning`)
-on a reciprocity-heavy replay of the same churn schedule: each tick,
-``revisit_frac`` of the requests come from users who just moved and
-already belong to a cluster (a moved user immediately re-requesting a
-cloak — the worst case for the demand cache, whose entry was just
-invalidated), the rest from the clusterable pool.  The host sequence is
-*recorded* during the sharing-off reference run and replayed verbatim
-for the sharing-on and relax-on runs; the sharing-on transcript (every
-answer's members, region bits, anonymity, and failures) must be
-bit-identical to the reference's — the equality gate is never waived,
-and the script exits nonzero if it trips.  The relax-on run additionally
-enables oracle-gated k-relaxation, so its failure rate may only drop;
-any relaxation the exact oracle would have rejected surfaces as a
-``defect``.
-
-The output schema (``bench_churn/v3``)::
+The output schema (``bench_churn/v2``)::
 
     {
-      "schema": "bench_churn/v3",
+      "schema": "bench_churn/v2",
       "users": 50000, "delta": 0.0029, "max_peers": 10, "k": 10,
       "seed": 3, "ticks": 20, "movers_per_tick": 500,
       "requests_per_tick": 50,
@@ -66,21 +51,6 @@ The output schema (``bench_churn/v3``)::
       "tree": {
         ... same as incremental ...,
         "request_speedup": ...        # incremental req s / tree req s
-      },
-      "tuning": {
-        "revisit_frac": 0.6,
-        "sharing_off": {
-          "request_seconds": ..., "request_latency_ms": {...},
-          "requests": {
-            "served": ..., "failed": ...,
-            "failures": {"sub_k": ..., "defect": ...},
-            "cache_hit_rate": ..., "shared_hit_rate": 0.0,
-            "failure_rate": ...
-          }
-        },
-        "sharing_on": { ... same ..., "transcript_equal": true },
-        "relax_on": { ... same ..., "relaxed": ... },
-        "hit_rate_gain": ...          # sharing_on - sharing_off hit rate
       },
       "maintenance_speedup": ...,   # rebuild seconds / incremental seconds
       "graphs_equal": true,         # incremental final graph == rebuild
@@ -120,14 +90,12 @@ from repro.experiments.workloads import clusterable_users
 from repro.geometry.point import Point
 from repro.graph.build import build_wpg_fast
 from repro.mobility.waypoint import RandomWaypointModel
-from repro.tuning import TuningPolicy
 from repro.verify.invariants import graph_equality_details
 from repro.verify.oracles import oracle_smallest_cluster
 
 PAPER_USERS = 104_770
 PAPER_DELTA = 2e-3
 MAX_PEERS = 10
-REVISIT_FRAC = 0.6
 
 
 def scaled_delta(users: int) -> float:
@@ -284,129 +252,6 @@ def run_rebuild(dataset, config, schedule, hosts) -> tuple[dict, object]:
     return record, graph
 
 
-def _serve_tuning(engine, k: int, hosts, latencies, failures):
-    """Serve one tick's hosts for a tuning leg.
-
-    Returns ``(transcript, served, failed, hits, shared, relaxed)``.  The
-    transcript entry is the *answer* — members, region bits, anonymity,
-    or the typed failure — exactly the surface proactive sharing is not
-    allowed to change; cache provenance and cost stay out of it.
-    """
-    transcript = []
-    served = failed = hits = shared = relaxed = 0
-    for host in hosts:
-        t0 = time.perf_counter()
-        try:
-            result = engine.request(host)
-        except ClusteringError:
-            latencies.append(time.perf_counter() - t0)
-            failed += 1
-            answer = oracle_smallest_cluster(
-                engine.graph,
-                host,
-                k,
-                exclude=engine.clustering.registry.assigned_view(),
-            )
-            failures["sub_k" if answer is None else "defect"] += 1
-            transcript.append(("err", host))
-        else:
-            latencies.append(time.perf_counter() - t0)
-            served += 1
-            hits += bool(result.region_from_cache)
-            shared += bool(result.region_shared)
-            relaxed += result.relaxed_k is not None
-            transcript.append(
-                (
-                    host,
-                    tuple(sorted(result.cluster.members)),
-                    result.region.rect,
-                    result.region.anonymity,
-                )
-            )
-    return transcript, served, failed, hits, shared, relaxed
-
-
-def _tuning_record(latencies, served, failed, hits, shared, failures) -> dict:
-    total = served + failed
-    return {
-        "request_seconds": round(sum(latencies), 4),
-        "request_latency_ms": _latency_ms(latencies),
-        "requests": {
-            "served": served,
-            "failed": failed,
-            "failures": failures,
-            "cache_hit_rate": round(hits / served, 4) if served else 0.0,
-            "shared_hit_rate": round(shared / served, 4) if served else 0.0,
-            "failure_rate": round(failed / total, 4) if total else 0.0,
-        },
-    }
-
-
-def run_tuning_reference(
-    dataset, graph, config, schedule, requests_per_tick, revisit_frac, seed
-) -> tuple[dict, list, list]:
-    """The sharing-off leg: serve on demand AND record the host sequence.
-
-    Each tick draws ``revisit_frac`` of its hosts from *this tick's
-    movers that already belong to a cluster* — a moved user immediately
-    re-requesting a cloak, which is exactly the request the demand cache
-    just lost — and the rest from the t=0 clusterable pool.  Returns the
-    record, the per-tick host draws (replayed verbatim by the tuned
-    legs), and the answer transcript the tuned legs are gated against.
-    """
-    engine = CloakingEngine(dataset, graph, config)
-    pool = clusterable_users(graph, config.k)
-    rng = np.random.default_rng(seed + 5)
-    latencies: list[float] = []
-    failures = {"sub_k": 0, "defect": 0}
-    host_ticks: list[list[int]] = []
-    transcript: list = []
-    served = failed = hits = shared = 0
-    for batch in schedule:
-        engine.apply_moves(batch)
-        registry = engine.clustering.registry
-        movers_assigned = sorted(
-            {user for user, _ in batch if user in registry}
-        )
-        tick_hosts = [
-            int(rng.choice(movers_assigned))
-            if movers_assigned and rng.random() < revisit_frac
-            else int(rng.choice(pool))
-            for _ in range(requests_per_tick)
-        ]
-        host_ticks.append(tick_hosts)
-        t, s, f, h, sh, _ = _serve_tuning(
-            engine, config.k, tick_hosts, latencies, failures
-        )
-        transcript.extend(t)
-        served, failed = served + s, failed + f
-        hits, shared = hits + h, shared + sh
-    record = _tuning_record(latencies, served, failed, hits, shared, failures)
-    return record, host_ticks, transcript
-
-
-def run_tuning_replay(
-    dataset, graph, config, schedule, host_ticks, tuning
-) -> tuple[dict, list]:
-    """One tuned leg: identical churn schedule, replayed host sequence."""
-    engine = CloakingEngine(dataset, graph, config, tuning=tuning)
-    latencies: list[float] = []
-    failures = {"sub_k": 0, "defect": 0}
-    transcript: list = []
-    served = failed = hits = shared = relaxed = 0
-    for batch, tick_hosts in zip(schedule, host_ticks):
-        engine.apply_moves(batch)
-        t, s, f, h, sh, rx = _serve_tuning(
-            engine, config.k, tick_hosts, latencies, failures
-        )
-        transcript.extend(t)
-        served, failed = served + s, failed + f
-        hits, shared, relaxed = hits + h, shared + sh, relaxed + rx
-    record = _tuning_record(latencies, served, failed, hits, shared, failures)
-    record["requests"]["relaxed"] = relaxed
-    return record, transcript
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--users", type=int, default=50_000)
@@ -489,48 +334,6 @@ def main(argv: list[str] | None = None) -> int:
         f"requests {tree['request_speedup']}x vs incremental"
     )
 
-    def tuning_world():
-        data = california_like_poi(args.users, seed=args.seed)
-        return data, build_wpg_fast(data, delta, MAX_PEERS)
-
-    off_dataset, off_graph = tuning_world()
-    sharing_off, host_ticks, off_transcript = run_tuning_reference(
-        off_dataset, off_graph, config, schedule,
-        args.requests_per_tick, REVISIT_FRAC, args.seed,
-    )
-    on_dataset, on_graph = tuning_world()
-    sharing_on, on_transcript = run_tuning_replay(
-        on_dataset, on_graph, config, schedule, host_ticks,
-        TuningPolicy(share_regions=True),
-    )
-    transcript_equal = on_transcript == off_transcript
-    sharing_on["transcript_equal"] = transcript_equal
-    relax_dataset, relax_graph = tuning_world()
-    relax_on, _relax_transcript = run_tuning_replay(
-        relax_dataset, relax_graph, config, schedule, host_ticks,
-        TuningPolicy(share_regions=True, relax_k=True),
-    )
-    hit_rate_gain = round(
-        sharing_on["requests"]["cache_hit_rate"]
-        - sharing_off["requests"]["cache_hit_rate"],
-        4,
-    )
-    tuning = {
-        "revisit_frac": REVISIT_FRAC,
-        "sharing_off": sharing_off,
-        "sharing_on": sharing_on,
-        "relax_on": relax_on,
-        "hit_rate_gain": hit_rate_gain,
-    }
-    print(
-        f"tuning:      hit rate {sharing_off['requests']['cache_hit_rate']}"
-        f" off -> {sharing_on['requests']['cache_hit_rate']} on "
-        f"(transcript_equal={transcript_equal}), failure rate "
-        f"{sharing_off['requests']['failure_rate']} off -> "
-        f"{relax_on['requests']['failure_rate']} relaxed "
-        f"({relax_on['requests']['relaxed']} relaxations)"
-    )
-
     graphs_equal = (
         graph_equality_details(patched_graph, final_graph, "incremental", "rebuild")
         == []
@@ -543,7 +346,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     defects = sum(
         record["requests"]["failures"]["defect"]
-        for record in (incremental, rebuild, tree, sharing_off, sharing_on, relax_on)
+        for record in (incremental, rebuild, tree)
     )
     print(
         f"maintenance speedup {speedup}x, graphs_equal={graphs_equal}, "
@@ -551,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     payload = {
-        "schema": "bench_churn/v3",
+        "schema": "bench_churn/v2",
         "users": args.users,
         "delta": delta,
         "max_peers": MAX_PEERS,
@@ -563,19 +366,13 @@ def main(argv: list[str] | None = None) -> int:
         "incremental": incremental,
         "rebuild": rebuild,
         "tree": tree,
-        "tuning": tuning,
         "maintenance_speedup": speedup,
         "graphs_equal": graphs_equal,
         "tree_graphs_equal": tree_graphs_equal,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    clean = (
-        graphs_equal
-        and tree_graphs_equal
-        and defects == 0
-        and transcript_equal
-    )
+    clean = graphs_equal and tree_graphs_equal and defects == 0
     return 0 if clean else 1
 
 

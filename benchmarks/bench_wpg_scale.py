@@ -14,10 +14,10 @@ per-phase wall-time breakdown (``wpg_build`` / ``clustering`` /
 ``bounding`` / ``server``), its coverage of the measured wall time, and
 the full metrics snapshot (readable with ``python -m repro.obs.report``).
 
-The output schema (``bench_wpg/v4``)::
+The output schema (``bench_wpg/v3``)::
 
     {
-      "schema": "bench_wpg/v4",
+      "schema": "bench_wpg/v3",
       "max_peers": 10, "k": 10, "seed": 3, "requests": 2000,
       "obs_enabled": false,
       "sizes": [
@@ -30,11 +30,6 @@ The output schema (``bench_wpg/v4``)::
           "requests": {
             "count": 2000, "seconds": ...,
             "requests_per_second": ..., "cache_hit_rate": ...
-          },
-          "tuning": {                     # proactive sharing, same workload
-            "cache_hit_rate": ...,        # == the untuned hit rate
-            "shared_hit_rate": ..., "demand_hit_rate": ...,
-            "transcript_equal": true      # answers bit-identical to untuned
           },
           "clustering": {                 # phase-1 only, same workload
             "count": 2000, "failed": ...,
@@ -214,48 +209,6 @@ def bench_size(users: int, requests: int, seed: int) -> dict:
     request_seconds = time.perf_counter() - t0
     hits = sum(1 for r in results if r.region_from_cache)
 
-    # The tuning column: the identical workload through a sharing-on
-    # engine.  On a static population sharing can only re-label demand
-    # hits as shared-slot hits — the answers and the total hit rate must
-    # not move, which the transcript flag pins.  Like the scalar rebuild
-    # above, this leg is a cross-check, not part of the measured
-    # pipeline: its spans and counters must not pollute the obs window.
-    from repro.tuning import TuningPolicy
-
-    paused = obs.disable() if obs.enabled() else None
-    try:
-        shared_engine = CloakingEngine(
-            dataset, fast, config, tuning=TuningPolicy(share_regions=True)
-        )
-        shared_results = shared_engine.request_many(workload)
-    finally:
-        if paused is not None:
-            obs.enable(paused)
-    shared_hits = sum(1 for r in shared_results if r.region_shared)
-    demand_hits = (
-        sum(1 for r in shared_results if r.region_from_cache) - shared_hits
-    )
-
-    def answer(r):
-        return (
-            r.host,
-            tuple(sorted(r.cluster.members)),
-            r.region.rect,
-            r.region.anonymity,
-        )
-
-    transcript_equal = list(map(answer, shared_results)) == list(
-        map(answer, results)
-    )
-    tuning_record = {
-        "cache_hit_rate": round(
-            (shared_hits + demand_hits) / len(shared_results), 4
-        ),
-        "shared_hit_rate": round(shared_hits / len(shared_results), 4),
-        "demand_hit_rate": round(demand_hits / len(shared_results), 4),
-        "transcript_equal": transcript_equal,
-    }
-
     # The service-request leg: charge every cloaked region at the LBS
     # server (Cr per candidate POI), one query per served request.
     db = POIDatabase(california_like_poi(SERVER_POIS, seed=seed + 1))
@@ -283,7 +236,6 @@ def bench_size(users: int, requests: int, seed: int) -> dict:
             "requests_per_second": round(len(results) / request_seconds, 1),
             "cache_hit_rate": round(hits / len(results), 4),
         },
-        "tuning": tuning_record,
         "clustering": clustering,
         "server": {
             "pois": SERVER_POIS,
@@ -366,12 +318,6 @@ def main(argv: list[str] | None = None) -> int:
             f"({clu['speedup']}x, build {clu['tree']['build_seconds']}s, "
             f"partitions_equal={clu['partitions_equal']})"
         )
-        tun = record["tuning"]
-        print(
-            f"  tuning: {tun['shared_hit_rate']} shared + "
-            f"{tun['demand_hit_rate']} demand hits "
-            f"(transcript_equal={tun['transcript_equal']})"
-        )
         if "obs" in record:
             phases = record["obs"]["phases"]
             breakdown = ", ".join(f"{k} {v}s" for k, v in phases.items())
@@ -382,7 +328,7 @@ def main(argv: list[str] | None = None) -> int:
         records.append(record)
 
     payload = {
-        "schema": "bench_wpg/v4",
+        "schema": "bench_wpg/v3",
         "max_peers": MAX_PEERS,
         "k": SimulationConfig().k,
         "seed": args.seed,
@@ -393,9 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
     equal = all(
-        r["build"]["graphs_equal"]
-        and r["clustering"]["partitions_equal"]
-        and r["tuning"]["transcript_equal"]
+        r["build"]["graphs_equal"] and r["clustering"]["partitions_equal"]
         for r in records
     )
     return 0 if equal else 1

@@ -52,8 +52,6 @@ from repro.network.reliability import ProtocolAbort, ReliabilityPolicy, resolve
 from repro.network.simulator import PeerNetwork
 from repro.obs import trace as _trace
 from repro.spatial.grid import GridIndex
-from repro.tuning.plan import DeltaPlan, build_plan
-from repro.tuning.policy import TuningPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime import)
     from repro.persist.store import PersistentStore
@@ -94,23 +92,6 @@ class CloakingResult:
     clustering_messages: int
     bounding_messages: int
     region_from_cache: bool
-    #: The region came out of a proactively shared per-member slot
-    #: (repro.tuning); implies ``region_from_cache``.
-    region_shared: bool = False
-    #: Set to the relaxed k' when the request was served below the
-    #: configured k after the exact oracle confirmed no k-valid cluster.
-    relaxed_k: Optional[int] = None
-
-    @property
-    def status(self) -> str:
-        """The request's canonical outcome tag (flight-recorder status)."""
-        if self.region_shared:
-            return "cache_hit_shared"
-        if self.region_from_cache:
-            return "cache_hit"
-        if self.relaxed_k is not None:
-            return "ok_relaxed"
-        return "ok"
 
     @property
     def total_phase_messages(self) -> int:
@@ -160,12 +141,6 @@ class CloakingEngine:
     failure_plan:
         Failure injection for the internal network; only meaningful (and
         only accepted) together with an enabled ``reliability`` policy.
-    tuning:
-        The online adaptive-tuning policy (:mod:`repro.tuning`): opt-in
-        proactive region sharing, per-density-cell granularity, and
-        oracle-gated k-relaxation.  ``None`` (or the default policy)
-        keeps the engine bit-identical to the untuned baseline.  Not
-        supported together with an enabled ``reliability`` policy.
     """
 
     def __init__(
@@ -179,7 +154,6 @@ class CloakingEngine:
         clustering: Optional[ClusteringService | str] = None,
         reliability: Optional[ReliabilityPolicy] = None,
         failure_plan: Optional[FailurePlan] = None,
-        tuning: Optional[TuningPolicy] = None,
     ) -> None:
         if len(dataset) != graph.vertex_count:
             raise ConfigurationError(
@@ -191,12 +165,6 @@ class CloakingEngine:
                 f"min_area must be in [0, 1], got {min_area}"
             )
         self._min_area = min_area
-        self._tuning = tuning if tuning is not None else TuningPolicy()
-        # Per-member shared region slots (user -> (cluster members, rect))
-        # and the lazily (re)built per-cell δ-plan; both live only when
-        # the tuning policy enables them.
-        self._shared_slots: dict[int, tuple[frozenset[int], Rect]] = {}
-        self._delta_plan: Optional[DeltaPlan] = None
         self._dataset = dataset
         self._graph = graph
         self._config = config
@@ -218,12 +186,6 @@ class CloakingEngine:
             mode, policy, clustering, resolve(reliability), failure_plan
         )
         self._clustering: ClusteringService
-        if self._reliable_session is not None and self._tuning.enabled():
-            raise ConfigurationError(
-                "tuning is not supported together with an enabled "
-                "ReliabilityPolicy: the message-level session owns its "
-                "own request path"
-            )
         if self._reliable_session is not None:
             # The session's protocol satisfies the registry surface the
             # batch fast path needs; requests delegate wholesale.
@@ -389,32 +351,25 @@ class CloakingEngine:
                 )
                 raise
             recorder.record(
-                _trace.EVT_REQUEST_END, host=host, status=result.status,
+                _trace.EVT_REQUEST_END, host=host,
+                status="cache_hit" if result.region_from_cache else "ok",
             )
             return result
 
     def _request(self, host: int) -> CloakingResult:
         if self._reliable_session is not None:
             return self._request_reliable(host)
-        if self._tuning.share_regions:
-            slot = self._shared_slots.get(host)
-            if slot is not None:
-                return self._serve_shared(host, slot)
-        relaxed_k: Optional[int] = None
         with obs.span(metric.SPAN_CLUSTERING):
-            if self._tuning.relax_k:
-                cluster_result, relaxed_k = self._cluster_relaxable(host)
-            else:
-                cluster_result = self._clustering.request(host)
+            cluster_result = self._clustering.request(host)
         members = cluster_result.members
         cached = self._regions.get(members)
         if obs.enabled():
             obs.inc(metric.CLOAKING_REQUESTS)
-            if cached is not None:
-                obs.inc(metric.CLOAKING_CACHE_HITS)
-                obs.inc(metric.ENGINE_CACHE_DEMAND_HITS)
-            else:
-                obs.inc(metric.CLOAKING_CACHE_MISSES)
+            obs.inc(
+                metric.CLOAKING_CACHE_HITS
+                if cached is not None
+                else metric.CLOAKING_CACHE_MISSES
+            )
         recorder = _trace._recorder
         if recorder is not None:
             recorder.record(
@@ -439,7 +394,7 @@ class CloakingEngine:
             )
         with obs.span(metric.SPAN_BOUNDING):
             region, bounding_messages = self._bound(members, host)
-        region = self._enforce_granularity(region, host)
+        region = self._enforce_granularity(region)
         cloaked = CloakedRegion(
             rect=region,
             cluster_id=self._next_region_id,
@@ -447,14 +402,6 @@ class CloakingEngine:
         )
         self._next_region_id += 1
         self._regions[members] = cloaked
-        if self._tuning.share_regions:
-            # Reciprocity (paper Section IV): the region belongs to the
-            # cluster, so every member's on-demand answer is now this
-            # exact region — push it into each member's slot.
-            for member in members:
-                self._shared_slots[member] = (members, region)
-            if obs.enabled():
-                obs.inc(metric.TUNING_PUSHED_SLOTS, len(members))
         if obs.enabled():
             obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
             obs.observe(
@@ -467,153 +414,7 @@ class CloakingEngine:
             clustering_messages=cluster_result.involved,
             bounding_messages=bounding_messages,
             region_from_cache=False,
-            relaxed_k=relaxed_k,
         )
-
-    def _serve_shared(
-        self, host: int, slot: tuple[frozenset[int], Rect]
-    ) -> CloakingResult:
-        """Serve ``host`` from its proactively shared region slot.
-
-        When the cluster's region is still cached the slot is a pure
-        shortcut (same :class:`CloakedRegion` object the demand path
-        would return).  When churn invalidated it, the slot holds the
-        region *this member* would have computed on demand over the
-        current positions; serving it promotes the rect to the
-        cluster's cached region and rewrites every sibling slot —
-        exactly the state the member's on-demand miss would have left.
-        """
-        members, rect = slot
-        region = self._regions.get(members)
-        if region is None:
-            region = CloakedRegion(
-                rect=rect,
-                cluster_id=self._next_region_id,
-                anonymity=len(members),
-            )
-            self._next_region_id += 1
-            self._regions[members] = region
-            for member in members:
-                self._shared_slots[member] = (members, rect)
-            if obs.enabled():
-                obs.inc(metric.TUNING_PROMOTIONS)
-                obs.set_gauge(
-                    metric.CLOAKING_REGIONS_CACHED, len(self._regions)
-                )
-                obs.observe(
-                    metric.CLOAKING_REGION_AREA,
-                    rect.area,
-                    bounds=_AREA_BUCKETS,
-                )
-        if obs.enabled():
-            obs.inc(metric.CLOAKING_REQUESTS)
-            obs.inc(metric.CLOAKING_CACHE_HITS)
-            obs.inc(metric.ENGINE_CACHE_SHARED_HITS)
-        recorder = _trace._recorder
-        if recorder is not None:
-            recorder.record(
-                _trace.EVT_CACHE_HIT, host=host, shared=True
-            )
-        return CloakingResult(
-            host=host,
-            region=region,
-            cluster=ClusterResult(
-                host=host, members=members, involved=0, from_cache=True
-            ),
-            clustering_messages=0,
-            bounding_messages=0,
-            region_from_cache=True,
-            region_shared=True,
-        )
-
-    def _cluster_relaxable(
-        self, host: int
-    ) -> tuple[ClusterResult, Optional[int]]:
-        """Phase 1 with the oracle-gated k-relaxation fallback.
-
-        A clean sub-k failure is retried at k' < k only after the exact
-        level-scan oracle confirms no k-valid cluster of unassigned
-        users exists — if the oracle finds one, the engine missed it (a
-        defect) and the original failure propagates untouched.  k'
-        probes downward from k-1 to the per-density-cell floor; the
-        first k' with a valid cluster wins, preserving as much of the
-        anonymity target as the population allows.
-        """
-        try:
-            return self._clustering.request(host), None
-        except ClusteringError:
-            with obs.span(metric.SPAN_TUNING_RELAX):
-                relaxed = self._relax(host)
-            if relaxed is None:
-                raise
-            return relaxed
-
-    def _relax(self, host: int) -> Optional[tuple[ClusterResult, int]]:
-        # Local import: repro.verify's package init imports the fuzz
-        # harness, which imports this engine — at call time both sides
-        # are fully initialised.
-        from repro.verify.oracles import oracle_smallest_cluster
-
-        registry = self._clustering.registry
-        if host in registry:
-            # The failure was not a sub-k formation failure (the host is
-            # already clustered) — nothing to relax.
-            return None
-        k = self._config.k
-        exclude = registry.assigned_view()
-        if oracle_smallest_cluster(self._graph, host, k, exclude=exclude) is not None:
-            # A k-valid cluster exists: the failure is a defect, and
-            # masking it with a relaxation would hide the bug.
-            if obs.enabled():
-                obs.inc(metric.TUNING_RELAX_REJECTED)
-            return None
-        floor = self._ensure_plan().relax_floor_at(
-            self._dataset[host], k, self._tuning.k_floor
-        )
-        for relaxed_k in range(k - 1, floor - 1, -1):
-            service = DistributedClustering(
-                self._graph, relaxed_k, registry=registry
-            )
-            try:
-                proposal = service.propose(host)
-            except ClusteringError:
-                continue
-            for group in proposal.groups:
-                if host not in group:
-                    continue
-                # Register only the host's cluster: the other carved
-                # groups stay unassigned, free to reach full k later.
-                registry.register(group)
-                adopt = getattr(self._clustering, "adopt", None)
-                if adopt is not None:
-                    adopt(group)
-                if obs.enabled():
-                    obs.inc(metric.TUNING_RELAXATIONS)
-                return (
-                    ClusterResult(
-                        host=host,
-                        members=group,
-                        involved=proposal.involved,
-                        connectivity=proposal.connectivity,
-                    ),
-                    relaxed_k,
-                )
-        if obs.enabled():
-            obs.inc(metric.TUNING_RELAX_EXHAUSTED)
-        return None
-
-    def _ensure_plan(self) -> DeltaPlan:
-        """The current δ-plan, rebuilt lazily from the live positions."""
-        if self._delta_plan is None:
-            self._delta_plan = build_plan(
-                list(self._dataset),
-                self._config.delta,
-                self._tuning,
-                self._config.k,
-            )
-            if obs.enabled():
-                obs.inc(metric.TUNING_REPLANS)
-        return self._delta_plan
 
     def _request_reliable(self, host: int) -> CloakingResult:
         """Delegate one request to the fault-tolerant message-level session.
@@ -663,41 +464,10 @@ class CloakingEngine:
     def _request_many(self, hosts: Iterable[int]) -> list[CloakingResult]:
         registry = self._clustering.registry
         regions = self._regions
-        sharing = self._tuning.share_regions
         results: list[CloakingResult] = []
-        fast_hits = shared_hits = 0
+        fast_hits = 0
         recorder = _trace._recorder
         for host in hosts:
-            if sharing:
-                slot = self._shared_slots.get(host)
-                # A slot whose region was invalidated needs promotion —
-                # that (rarer) path runs through request() below.
-                if slot is not None and slot[0] in regions:
-                    shared_hits += 1
-                    if recorder is not None:
-                        recorder.record(
-                            _trace.EVT_CACHE_HIT,
-                            host=host,
-                            fast_path=True,
-                            shared=True,
-                        )
-                    results.append(
-                        CloakingResult(
-                            host=host,
-                            region=regions[slot[0]],
-                            cluster=ClusterResult(
-                                host=host,
-                                members=slot[0],
-                                involved=0,
-                                from_cache=True,
-                            ),
-                            clustering_messages=0,
-                            bounding_messages=0,
-                            region_from_cache=True,
-                            region_shared=True,
-                        )
-                    )
-                    continue
             members = registry.cluster_of(host)
             cached = regions.get(members) if members is not None else None
             if members is not None and cached is not None:
@@ -727,15 +497,11 @@ class CloakingEngine:
                 )
             else:
                 results.append(self.request(host))
-        if (fast_hits or shared_hits) and obs.enabled():
+        if fast_hits and obs.enabled():
             # The fast path skips request(), so its accounting lands here
             # in one batched update instead of per-host increments.
-            obs.inc(metric.CLOAKING_REQUESTS, fast_hits + shared_hits)
-            obs.inc(metric.CLOAKING_CACHE_HITS, fast_hits + shared_hits)
-            if fast_hits:
-                obs.inc(metric.ENGINE_CACHE_DEMAND_HITS, fast_hits)
-            if shared_hits:
-                obs.inc(metric.ENGINE_CACHE_SHARED_HITS, shared_hits)
+            obs.inc(metric.CLOAKING_REQUESTS, fast_hits)
+            obs.inc(metric.CLOAKING_CACHE_HITS, fast_hits)
         return results
 
     def invalidate_region(self, members: Iterable[int]) -> bool:
@@ -745,15 +511,7 @@ class CloakingEngine:
         no longer covers the cluster and must be rebuilt on the next
         request.  Returns True when a cached region was dropped.
         """
-        key = frozenset(members)
-        dropped = self._regions.pop(key, None) is not None
-        if self._shared_slots:
-            # Drain every shared copy with the region: a slot must never
-            # serve geometry the demand path would recompute.
-            for member in key:
-                slot = self._shared_slots.get(member)
-                if slot is not None and slot[0] == key:
-                    del self._shared_slots[member]
+        dropped = self._regions.pop(frozenset(members), None) is not None
         if dropped and obs.enabled():
             obs.inc(metric.CLOAKING_REGIONS_INVALIDATED)
             obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
@@ -763,7 +521,6 @@ class CloakingEngine:
         """Invalidate every cached region; returns how many were dropped."""
         dropped = len(self._regions)
         self._regions.clear()
-        self._shared_slots.clear()
         if dropped and obs.enabled():
             obs.inc(metric.CLOAKING_REGIONS_INVALIDATED, dropped)
             obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, 0)
@@ -828,13 +585,6 @@ class CloakingEngine:
             rect=rect, cluster_id=self._next_region_id, anonymity=anonymity
         )
         self._next_region_id += 1
-        if self._tuning.share_regions:
-            # Cross-replica propagation of the proactive push: the
-            # adopted region is the cluster's answer for every member.
-            for member in key:
-                self._shared_slots[member] = (key, rect)
-            if obs.enabled():
-                obs.inc(metric.TUNING_PUSHED_SLOTS, len(key))
         if obs.enabled():
             obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
         return True
@@ -897,13 +647,6 @@ class CloakingEngine:
             seen.add(members)
             if self.invalidate_region(members):
                 invalidated += 1
-        if self._tuning.enabled():
-            # The δ-plan is a pure function of the positions; drop it so
-            # the next consumer replans over the post-move occupancy.
-            self._delta_plan = None
-        if self._tuning.share_regions and seen:
-            with obs.span(metric.SPAN_TUNING_RESHARE):
-                self._reshare(seen)
         if obs.enabled():
             obs.inc(metric.CHURN_BATCHES)
             obs.inc(metric.CHURN_MOVES, patch.moved)
@@ -928,56 +671,6 @@ class CloakingEngine:
                 regions_invalidated=invalidated,
             )
         return patch
-
-    def _reshare(self, clusters: Iterable[frozenset[int]]) -> int:
-        """Proactively re-compute the shared slots of churned clusters.
-
-        For every cluster that lost (or never had) its cached region
-        because a member moved, pre-compute *each member's own*
-        on-demand region over the new positions — the progressive
-        bounding protocol seeds at the requester's coordinate, so the
-        region is requester-dependent and one rect cannot speak for the
-        whole cluster.  The first member served from its slot promotes
-        that rect to the cluster's cached region (see
-        :meth:`_serve_shared`), after which the siblings serve the
-        promoted geometry exactly as the demand path would.
-        """
-        filled = 0
-        for members in clusters:
-            if members in self._regions:  # pragma: no cover - invalidated above
-                continue
-            for member in sorted(members):
-                rect, _ = self._bound(members, member)
-                rect = self._enforce_granularity(rect, member)
-                self._shared_slots[member] = (members, rect)
-                filled += 1
-        if filled and obs.enabled():
-            obs.inc(metric.TUNING_RESHARED_SLOTS, filled)
-        return filled
-
-    @property
-    def tuning(self) -> TuningPolicy:
-        """The online tuning policy this engine was built with."""
-        return self._tuning
-
-    def shared_slots(self) -> dict[int, tuple[frozenset[int], Rect]]:
-        """A snapshot of the per-member shared region slots."""
-        return dict(self._shared_slots)
-
-    def delta_plan(self) -> Optional[DeltaPlan]:
-        """The current δ-plan, building it on first use when tuning is on."""
-        if not self._tuning.enabled():
-            return None
-        return self._ensure_plan()
-
-    def retune(self) -> None:
-        """Drop the cached δ-plan; the next consumer replans immediately.
-
-        Replanning also happens automatically after every churn batch —
-        this is the operator's explicit knob (and the soak test's
-        ``retune`` op).
-        """
-        self._delta_plan = None
 
     def _build_churn_runtime(self) -> IncrementalWPG:
         """First-move setup: mutable dataset, grid, incremental maintainer."""
@@ -1119,29 +812,6 @@ class CloakingEngine:
             ],
             "ledgers": export_ledgers(self._devices) if self._devices else None,
         }
-        if self._tuning.enabled():
-            # The δ-plan is derivable (pure function of the restored
-            # positions); the shared slots are not — a slot records which
-            # churned clusters were proactively re-shared, so it rides
-            # the snapshot bit-exactly (rects in float hex).
-            meta["tuning"] = {
-                "policy": self._tuning.to_meta(),
-                "slots": [
-                    {
-                        "user": user,
-                        "members": sorted(members),
-                        "rect": [
-                            rect.x_min.hex(),
-                            rect.x_max.hex(),
-                            rect.y_min.hex(),
-                            rect.y_max.hex(),
-                        ],
-                    }
-                    for user, (members, rect) in sorted(
-                        self._shared_slots.items()
-                    )
-                ],
-            }
         if isinstance(clustering, CentralizedAnonymizer):
             meta["centralized"] = {
                 "partitioned": clustering.has_partitioned,
@@ -1193,6 +863,14 @@ class CloakingEngine:
             if info["clustering"] == "custom":
                 raise PersistError(
                     "cannot restore a custom clustering service"
+                )
+            if "tuning" in meta:
+                # Written by engines that had online tuning (proactive
+                # region sharing); restoring without the shared slots
+                # would silently change which regions get served.
+                raise PersistError(
+                    "cannot restore a snapshot with a 'tuning' block: "
+                    "online tuning is no longer supported"
                 )
             config = SimulationConfig(**meta["config"])
             graph = graph_from_arrays(
@@ -1246,12 +924,6 @@ class CloakingEngine:
                 service = DistributedClustering(
                     graph, config.k, registry=registry
                 )
-            tuning_meta = meta.get("tuning")
-            tuning = (
-                TuningPolicy.from_meta(tuning_meta["policy"])
-                if tuning_meta
-                else None
-            )
             engine = cls(
                 dataset,
                 graph,
@@ -1260,7 +932,6 @@ class CloakingEngine:
                 policy=info["policy"],
                 min_area=info["min_area"],
                 clustering=service,
-                tuning=tuning,
             )
             engine._clustering_kind = kind
             engine._next_region_id = int(meta["next_region_id"])
@@ -1271,15 +942,6 @@ class CloakingEngine:
                     cluster_id=int(entry["cluster_id"]),
                     anonymity=int(entry["anonymity"]),
                 )
-            if tuning_meta:
-                # Restore the shared slots *after* the regions so replayed
-                # journal batches drain and re-share exactly like the
-                # engine that never crashed.
-                for entry in tuning_meta["slots"]:
-                    engine._shared_slots[int(entry["user"])] = (
-                        frozenset(entry["members"]),
-                        Rect(*(float.fromhex(h) for h in entry["rect"])),
-                    )
             if info["has_churn"]:
                 # Stashed, not rebuilt: the first apply_moves (usually
                 # the journal replay just below) materialises the grid
@@ -1320,23 +982,7 @@ class CloakingEngine:
                     obs.inc(metric.PERSIST_REPLAYED_BATCHES, replayed)
         return engine
 
-    def _granularity_target(self, host: Optional[int]) -> float:
-        """The minimum region area enforced for ``host``'s request.
-
-        The static metric unless the tuning policy adapts δ per density
-        cell: then the plan's scale (monotone non-increasing in cell
-        occupancy, bounded below by ``delta_scale_min``) shrinks the
-        enforced *extent*, so the area target scales quadratically.  A
-        tuned region is therefore always contained in the untuned one.
-        """
-        if self._min_area <= 0.0 or not self._tuning.adapt_delta or host is None:
-            return self._min_area
-        scale = self._ensure_plan().scale_at(self._dataset[host])
-        return self._min_area * scale * scale
-
-    def _enforce_granularity(
-        self, region: Rect, host: Optional[int] = None
-    ) -> Rect:
+    def _enforce_granularity(self, region: Rect) -> Rect:
         """Grow ``region`` until it satisfies the minimum-area metric.
 
         Uniform margin on all sides, then clipped to the unit square.
@@ -1348,10 +994,10 @@ class CloakingEngine:
         square and ``min_area <= 1``, so a satisfying margin exists and
         the target is guaranteed, never silently under-delivered.
         """
-        target = self._granularity_target(host)
-        if target <= 0.0 or region.area >= target:
+        if self._min_area <= 0.0 or region.area >= self._min_area:
             return region
         unit = Rect.unit_square()
+        target = self._min_area
         grown = region
         for _round in range(64):
             if grown.area >= target:

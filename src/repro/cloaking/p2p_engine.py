@@ -16,7 +16,7 @@ coordinate.  Failure injection applies to both phases.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.bounding.p2p import p2p_upper_bound, resilient_bounding_box
 from repro.bounding.policies import IncrementPolicy
@@ -117,6 +117,8 @@ class P2PCloakingSession:
             transport=self._transport,
         )
         self._regions: dict[frozenset[int], CloakedRegion] = {}
+        # Monotonic so region ids stay unique across invalidations.
+        self._next_region_id = 0
 
     @classmethod
     def bootstrapped(
@@ -227,9 +229,10 @@ class P2PCloakingSession:
         region, bounding_messages, dropped, unresolved = self._bound(host, cluster)
         cloaked = CloakedRegion(
             rect=region,
-            cluster_id=len(self._regions),
+            cluster_id=self._next_region_id,
             anonymity=cluster.size,
         )
+        self._next_region_id += 1
         self._regions[cluster.members] = cloaked
         return P2PCloakingResult(
             host=host,
@@ -266,9 +269,10 @@ class P2PCloakingSession:
         )
         cloaked = CloakedRegion(
             rect=report.region,
-            cluster_id=len(self._regions),
+            cluster_id=self._next_region_id,
             anonymity=len(report.survivors),
         )
+        self._next_region_id += 1
         self._regions[cluster.members] = cloaked
         return P2PCloakingResult(
             host=host,
@@ -323,7 +327,3 @@ class P2PCloakingSession:
     def _policy(self, size: int) -> IncrementPolicy:
         return paper_policy(self._policy_name, size, self._config)
 
-
-#: Convenience alias matching the analytic engine's naming.
-PolicyName = str
-SessionFactory = Callable[..., P2PCloakingSession]

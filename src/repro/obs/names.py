@@ -22,13 +22,6 @@ import re
 CLOAKING_REQUESTS = "cloaking.requests"
 CLOAKING_CACHE_HITS = "cloaking.cache_hits"
 CLOAKING_CACHE_MISSES = "cloaking.cache_misses"
-#: Cache hits split by provenance: ``shared`` means the answer came out
-#: of a proactively pushed per-member slot (repro.tuning), ``demand``
-#: means the classic registry-probe + region-cache path.  The two always
-#: sum to :data:`CLOAKING_CACHE_HITS`, and with misses reconcile to
-#: :data:`CLOAKING_REQUESTS` — the soak suite asserts the identity.
-ENGINE_CACHE_SHARED_HITS = "engine.cache.shared_hits"
-ENGINE_CACHE_DEMAND_HITS = "engine.cache.demand_hits"
 CLOAKING_REGIONS_INVALIDATED = "cloaking.regions_invalidated"
 CLOAKING_REGIONS_CACHED = "cloaking.regions_cached"  # gauge
 CLOAKING_REGION_AREA = "cloaking.region_area"  # histogram
@@ -62,28 +55,6 @@ CHURN_DIRTY_PER_BATCH = "engine.churn.dirty_per_batch"
 SPAN_CHURN_APPLY = "engine.churn.apply_moves"
 SPAN_CHURN_GRID = "engine.churn.grid_patch"  # grid move + dirty-set discovery
 SPAN_CHURN_WPG = "engine.churn.wpg_patch"  # re-rank + edge diff
-
-# -- online adaptive tuning (repro.tuning) ----------------------------------------
-
-#: δ-plans rebuilt from cell occupancy (lazily after each churn batch).
-TUNING_REPLANS = "tuning.replans"
-#: Per-member region slots pushed at cloak/adopt time.
-TUNING_PUSHED_SLOTS = "tuning.pushed_slots"
-#: Per-member slots re-computed proactively at churn time.
-TUNING_RESHARED_SLOTS = "tuning.reshared_slots"
-#: Shared slots promoted to the cluster's cached region on first serve.
-TUNING_PROMOTIONS = "tuning.promotions"
-#: Requests served at a relaxed k' after the exact oracle confirmed no
-#: k-valid cluster existed.
-TUNING_RELAXATIONS = "tuning.relaxations"
-#: Relaxation attempts vetoed because the oracle *found* a k-valid
-#: cluster the engine missed — the defect is re-raised, never masked.
-TUNING_RELAX_REJECTED = "tuning.relax_rejected"
-#: Relaxation attempts that found no valid cluster at any k' either.
-TUNING_RELAX_EXHAUSTED = "tuning.relax_exhausted"
-
-SPAN_TUNING_RESHARE = "tuning.reshare"
-SPAN_TUNING_RELAX = "tuning.relax"
 
 # -- durable state (repro.persist) -------------------------------------------------
 

@@ -62,10 +62,10 @@ class TrackedMetric:
     higher_is_better: bool
 
 
-#: Gated metrics per bench schema.  ``bench_wpg/v3``/``v4`` and
+#: Gated metrics per bench schema.  ``bench_wpg/v3`` and
 #: ``bench_persist/v1`` metrics read from the largest population entry
-#: (``sizes[-1]``); ``bench_churn/v2``/``v3`` and ``bench_service/v1``
-#: metrics read from the document root.
+#: (``sizes[-1]``); ``bench_churn/v2`` and ``bench_service/v1`` metrics
+#: read from the document root.
 TRACKED: dict[str, tuple[TrackedMetric, ...]] = {
     "bench_wpg/v3": (
         TrackedMetric("build.fast_seconds", ("build", "fast_seconds"), False),
@@ -95,60 +95,6 @@ TRACKED: dict[str, tuple[TrackedMetric, ...]] = {
             False,
         ),
         TrackedMetric("tree.request_speedup", ("tree", "request_speedup"), True),
-    ),
-    "bench_wpg/v4": (
-        TrackedMetric("build.fast_seconds", ("build", "fast_seconds"), False),
-        TrackedMetric("build.speedup", ("build", "speedup"), True),
-        TrackedMetric(
-            "requests.requests_per_second",
-            ("requests", "requests_per_second"),
-            True,
-        ),
-        TrackedMetric("clustering.speedup", ("clustering", "speedup"), True),
-        TrackedMetric(
-            "clustering.tree.requests_per_second",
-            ("clustering", "tree", "requests_per_second"),
-            True,
-        ),
-        TrackedMetric(
-            "tuning.shared_hit_rate",
-            ("tuning", "shared_hit_rate"),
-            True,
-        ),
-        TrackedMetric(
-            "tuning.cache_hit_rate",
-            ("tuning", "cache_hit_rate"),
-            True,
-        ),
-    ),
-    "bench_churn/v3": (
-        TrackedMetric("maintenance_speedup", ("maintenance_speedup",), True),
-        TrackedMetric(
-            "incremental.moves_per_second",
-            ("incremental", "moves_per_second"),
-            True,
-        ),
-        TrackedMetric(
-            "incremental.request_latency_ms.p95",
-            ("incremental", "request_latency_ms", "p95"),
-            False,
-        ),
-        TrackedMetric("tree.request_speedup", ("tree", "request_speedup"), True),
-        TrackedMetric(
-            "tuning.sharing_on.cache_hit_rate",
-            ("tuning", "sharing_on", "requests", "cache_hit_rate"),
-            True,
-        ),
-        TrackedMetric(
-            "tuning.hit_rate_gain",
-            ("tuning", "hit_rate_gain"),
-            True,
-        ),
-        TrackedMetric(
-            "tuning.relax_on.failure_rate",
-            ("tuning", "relax_on", "requests", "failure_rate"),
-            False,
-        ),
     ),
     "bench_persist/v1": (
         TrackedMetric("snapshot.seconds", ("snapshot", "seconds"), False),
@@ -195,7 +141,7 @@ def extract_metrics(data: dict) -> tuple[str, dict[str, float]]:
             f"unsupported bench schema {schema!r} (sentinel tracks: {known})"
         )
     root = data
-    if schema in ("bench_wpg/v3", "bench_wpg/v4", "bench_persist/v1"):
+    if schema in ("bench_wpg/v3", "bench_persist/v1"):
         sizes = data.get("sizes") or []
         if not sizes:
             raise ValueError(f"{schema} document has no sizes[] entries")

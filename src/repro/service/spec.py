@@ -61,15 +61,8 @@ class ServiceSpec:
     shards: int = 2
     queue_capacity: int = 256
     obs: bool = False
-    tuning: dict | None = None
 
     def __post_init__(self) -> None:
-        if self.tuning is not None:
-            from repro.tuning.policy import TuningPolicy
-
-            # Validate eagerly: a bad policy should fail at spec time,
-            # not inside every worker process.
-            TuningPolicy.from_meta(self.tuning)
         if self.flavor not in SHARDABLE_FLAVORS:
             raise ServiceError(
                 f"clustering flavor {self.flavor!r} cannot be sharded "
@@ -136,7 +129,6 @@ class ServiceSpec:
             "shards": self.shards,
             "queue_capacity": self.queue_capacity,
             "obs": self.obs,
-            "tuning": self.tuning,
         }
 
     @classmethod
@@ -146,6 +138,13 @@ class ServiceSpec:
             raise ServiceError(
                 f"unknown service spec format: {payload.get('format') if isinstance(payload, dict) else payload!r}"
             )
+        if payload.get("tuning") is not None:
+            # Older specs wrote ``"tuning": null``, which still loads; a
+            # real policy would otherwise be dropped and served untuned.
+            raise ServiceError(
+                "service spec carries a 'tuning' policy: online tuning "
+                "is no longer supported"
+            )
         return cls(
             source=payload["source"],
             flavor=payload.get("flavor", "distributed"),
@@ -154,7 +153,6 @@ class ServiceSpec:
             shards=int(payload.get("shards", 2)),
             queue_capacity=int(payload.get("queue_capacity", 256)),
             obs=bool(payload.get("obs", False)),
-            tuning=payload.get("tuning"),
         )
 
     def with_shards(self, shards: int) -> "ServiceSpec":
@@ -222,11 +220,6 @@ def build_engine(spec: ServiceSpec) -> CloakingEngine:
     """One engine replica: what every shard worker (and the dispatcher's
     routing mirror, and the differential tests' reference) runs."""
     dataset, graph, config = materialize(spec)
-    tuning = None
-    if spec.tuning is not None:
-        from repro.tuning.policy import TuningPolicy
-
-        tuning = TuningPolicy.from_meta(spec.tuning)
     if spec.flavor == "tree":
         return CloakingEngine(
             dataset,
@@ -235,7 +228,6 @@ def build_engine(spec: ServiceSpec) -> CloakingEngine:
             clustering="tree",
             policy=spec.policy,
             min_area=spec.min_area,
-            tuning=tuning,
         )
     return CloakingEngine(
         dataset,
@@ -244,5 +236,4 @@ def build_engine(spec: ServiceSpec) -> CloakingEngine:
         mode="distributed",
         policy=spec.policy,
         min_area=spec.min_area,
-        tuning=tuning,
     )

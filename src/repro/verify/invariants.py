@@ -1270,296 +1270,3 @@ def _service_shard_equal(run: WorldRun) -> List[str]:
     finally:
         service.close()
     return details
-
-
-# -- online adaptive tuning ---------------------------------------------------------
-
-
-def _comparable_outcome(engine: CloakingEngine, host: int):
-    """One host's answer, stripped of cache/cost provenance.
-
-    The sharing differential compares *answers*: cluster membership,
-    region bits, anonymity, and typed failures.  Whether the answer came
-    from a shared slot, the demand cache, or a fresh bound — and how
-    many messages it cost — is exactly what sharing is allowed to
-    change.
-    """
-    try:
-        r = engine.request(host)
-    except Exception as exc:
-        return ("err", type(exc).__name__, str(exc))
-    return (
-        "ok",
-        tuple(sorted(r.cluster.members)),
-        r.region.rect,
-        r.region.anonymity,
-    )
-
-
-def _stale_slot_details(engine: CloakingEngine, label: str) -> List[str]:
-    """From-definition freshness check of every shared slot.
-
-    A slot must hold either the cluster's currently cached region (bit
-    for bit) or, when churn invalidated it, the rect *this member's*
-    on-demand request would compute over the current positions.  Any
-    other content is a stale shared region waiting to be served.
-    """
-    details: List[str] = []
-    regions = engine.cached_regions()
-    registry = engine.clustering.registry
-    for member, (members, rect) in sorted(engine.shared_slots().items()):
-        if member not in members:
-            details.append(
-                f"{label}: user {member}'s slot names a cluster that "
-                f"does not contain them"
-            )
-            continue
-        if registry.cluster_of(member) != members:
-            details.append(
-                f"{label}: user {member}'s slot cluster is not their "
-                f"registered cluster"
-            )
-            continue
-        cached = regions.get(members)
-        if cached is not None:
-            if rect != cached.rect:
-                details.append(
-                    f"{label}: user {member}'s slot rect differs from "
-                    f"the cluster's cached region"
-                )
-            continue
-        fresh, _ = engine._bound(members, member)
-        fresh = engine._enforce_granularity(fresh, member)
-        if rect != fresh:
-            details.append(
-                f"{label}: user {member}'s slot holds a stale rect "
-                f"(recomputing their on-demand region over the current "
-                f"positions gives different bits)"
-            )
-    return details
-
-
-@invariant("region-share-equal")
-def _region_share_equal(run: WorldRun) -> List[str]:
-    """Proactive region sharing never changes an answer.
-
-    A self-contained twin differential per world: an engine with
-    ``share_regions`` on and an untuned twin serve the same hosts in the
-    same order, consume the same churn schedule, and serve again — every
-    answer (members, region bits, anonymity, typed failures) must match
-    bit for bit; only hit/miss provenance may differ.  After every churn
-    batch and serving pass the sharing engine's slots are audited from
-    definition: each slot holds either the cluster's live cached region
-    or the exact rect its member's on-demand request would compute over
-    the current positions — churn must drain (or refresh) every shared
-    copy, and no stale shared region may ever serve.
-    """
-    world = run.built.world
-    if world.faulty or world.p2p:
-        return []  # tuning is refused for reliability sessions by design
-    import random as _random
-
-    from repro.datasets.base import MutablePointDataset
-    from repro.tuning import TuningPolicy
-    from repro.verify.worlds import churn_schedule
-
-    built = run.built
-    rng = _random.Random(world.seed + 61211)
-    use_tree = world.radio == "ideal" and rng.random() < 0.4
-
-    def make(tuning: Optional[TuningPolicy]) -> CloakingEngine:
-        dataset = MutablePointDataset.from_dataset(built.dataset)
-        graph = built.graph.copy()
-        if use_tree:
-            return CloakingEngine(
-                dataset, graph, built.config,
-                clustering="tree", policy=world.policy, tuning=tuning,
-            )
-        return CloakingEngine(
-            dataset, graph, built.config,
-            mode=world.mode, policy=world.policy, tuning=tuning,
-        )
-
-    sharing = make(TuningPolicy(share_regions=True))
-    plain = make(None)
-    hosts = list(built.hosts)
-    details: List[str] = []
-
-    def serve_pass(label: str) -> None:
-        for host in hosts:
-            got = _comparable_outcome(sharing, host)
-            want = _comparable_outcome(plain, host)
-            if got != want:
-                details.append(
-                    f"{label}: host {host} answered {got!r} with sharing "
-                    f"on but {want!r} on demand"
-                )
-        details.extend(_stale_slot_details(sharing, label))
-
-    serve_pass("first pass")
-    batches = list(churn_schedule(world)) if world.churn_moves else []
-    for index, batch in enumerate(batches):
-        sharing.apply_moves(batch)
-        plain.apply_moves(batch)
-        details.extend(
-            _stale_slot_details(sharing, f"after churn batch {index + 1}")
-        )
-        if details:
-            break
-        serve_pass(f"pass after churn batch {index + 1}")
-        if details:
-            break
-    if not details and sharing.cached_regions() != plain.cached_regions():
-        details.append(
-            "sharing engine's final region cache differs from the "
-            "on-demand twin's"
-        )
-    return details
-
-
-@invariant("tuning-sound")
-def _tuning_sound(run: WorldRun) -> List[str]:
-    """Every tuned answer is provably as strict as the untuned one.
-
-    Two legs, each a self-contained twin differential:
-
-    * **k-relaxation** — an engine with ``relax_k`` on serves the
-      world's hosts (and re-serves through the churn schedule).  For
-      every relaxed answer, the exact level-scan oracle is re-run over
-      the *pre-request* assignment frontier: it must confirm no k-valid
-      cluster existed at the original k (a relaxation that masks a
-      findable k-cluster is a defect), and the relaxed cluster must be
-      genuinely valid — host included, size >= the per-density-cell
-      floor, members previously unassigned, region covering every
-      member.
-
-    * **adaptive δ** — an engine with ``adapt_delta`` on and a positive
-      granularity floor, against an untuned twin at the same floor:
-      every tuned region must be contained in the untuned one (denser
-      cells only ever shrink the padding) while still covering all
-      members.
-    """
-    world = run.built.world
-    if world.faulty or world.p2p:
-        return []
-    from repro.datasets.base import MutablePointDataset
-    from repro.errors import ClusteringError
-    from repro.tuning import TuningPolicy
-    from repro.verify.worlds import churn_schedule
-
-    built = run.built
-    hosts = list(built.hosts)
-    details: List[str] = []
-    batches = list(churn_schedule(world)) if world.churn_moves else []
-
-    def make(tuning: Optional[TuningPolicy], min_area: float) -> CloakingEngine:
-        dataset = MutablePointDataset.from_dataset(built.dataset)
-        graph = built.graph.copy()
-        return CloakingEngine(
-            dataset, graph, built.config,
-            mode=world.mode, policy=world.policy,
-            min_area=min_area, tuning=tuning,
-        )
-
-    # Leg 1: oracle-gated k-relaxation.
-    relaxing = make(TuningPolicy(relax_k=True), 0.0)
-    k = built.config.k
-    registry = relaxing.clustering.registry
-
-    def audit_relaxations(label: str) -> None:
-        for host in hosts:
-            assigned_before = frozenset(registry.assigned_view())
-            try:
-                result = relaxing.request(host)
-            except ClusteringError:
-                continue  # rejected or exhausted: the failure propagated
-            except Exception:
-                continue  # other typed failures are out of scope here
-            if result.relaxed_k is None:
-                continue
-            members = result.cluster.members
-            if not result.relaxed_k < k:
-                details.append(
-                    f"{label}: host {host} relaxed to k'={result.relaxed_k} "
-                    f">= k={k}"
-                )
-            if host not in members:
-                details.append(
-                    f"{label}: host {host} missing from its relaxed cluster"
-                )
-            if len(members) < result.relaxed_k:
-                details.append(
-                    f"{label}: host {host}'s relaxed cluster of "
-                    f"{len(members)} < k'={result.relaxed_k}"
-                )
-            plan = relaxing.delta_plan()
-            floor = plan.relax_floor_at(
-                relaxing.dataset[host], k, relaxing.tuning.k_floor
-            )
-            if result.relaxed_k < floor:
-                details.append(
-                    f"{label}: host {host} relaxed below the density "
-                    f"floor ({result.relaxed_k} < {floor})"
-                )
-            overlap = members & assigned_before
-            if host in assigned_before or (overlap - {host}):
-                details.append(
-                    f"{label}: host {host}'s relaxed cluster reused "
-                    f"already-assigned users {sorted(overlap)[:5]}"
-                )
-            for member in sorted(members):
-                if not result.region.rect.contains(relaxing.dataset[member]):
-                    details.append(
-                        f"{label}: relaxed region for host {host} does "
-                        f"not cover member {member}"
-                    )
-            found = oracle_smallest_cluster(
-                relaxing.graph, host, k, exclude=assigned_before
-            )
-            if found is not None:
-                details.append(
-                    f"{label}: host {host} was relaxed to "
-                    f"k'={result.relaxed_k} but the oracle finds a k-valid "
-                    f"cluster {sorted(found[0])[:6]} at k={k}"
-                )
-
-    audit_relaxations("pre-churn")
-    for index, batch in enumerate(batches):
-        relaxing.apply_moves(batch)
-        audit_relaxations(f"after churn batch {index + 1}")
-        if details:
-            break
-
-    # Leg 2: adaptive δ only ever tightens the granularity padding.
-    min_area = (world.delta * 2.0) ** 2
-    tuned = make(TuningPolicy(adapt_delta=True), min_area)
-    static = make(None, min_area)
-    for host in hosts:
-        got = _comparable_outcome(tuned, host)
-        want = _comparable_outcome(static, host)
-        if got[0] != want[0]:
-            details.append(
-                f"adaptive δ changed host {host}'s outcome kind: "
-                f"{got!r} vs {want!r}"
-            )
-            continue
-        if got[0] != "ok":
-            continue
-        if got[1] != want[1]:
-            details.append(
-                f"adaptive δ changed host {host}'s cluster membership"
-            )
-            continue
-        tuned_rect, static_rect = got[2], want[2]
-        if not static_rect.contains_rect(tuned_rect):
-            details.append(
-                f"host {host}: tuned region {tuned_rect} is not contained "
-                f"in the untuned region {static_rect}"
-            )
-        for member in got[1]:
-            if not tuned_rect.contains(tuned.dataset[member]):
-                details.append(
-                    f"host {host}: tuned region does not cover member "
-                    f"{member}"
-                )
-    return details

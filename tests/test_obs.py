@@ -252,6 +252,30 @@ class TestRequestManyCacheAccounting:
         assert counters[metric.CLOAKING_CACHE_MISSES].value == 1
         assert counters[metric.CLOAKING_CACHE_HITS].value == len(members)
 
+    def test_request_hits_are_stamped_cache_hit(
+        self, metrics, small_dataset, small_graph, small_config
+    ):
+        from repro.obs import trace
+
+        engine = self._engine(small_dataset, small_graph, small_config)
+        recorder = trace.install_recorder(trace.FlightRecorder())
+        try:
+            first = engine.request(0)
+            mates = sorted(first.cluster.members - {0})
+            for mate in mates:
+                assert engine.request(mate).region_from_cache
+            statuses = [
+                e.fields["status"]
+                for e in recorder.events()
+                if e.kind == trace.EVT_REQUEST_END
+            ]
+        finally:
+            trace.uninstall_recorder()
+        assert statuses == ["ok"] + ["cache_hit"] * len(mates)
+        counters = metrics.counters
+        assert counters[metric.CLOAKING_CACHE_HITS].value == len(mates)
+        assert counters[metric.CLOAKING_CACHE_MISSES].value == 1
+
     def test_hit_miss_split_matches_results(
         self, metrics, small_dataset, small_graph, small_config
     ):
@@ -295,118 +319,6 @@ class TestRequestManyCacheAccounting:
         counters = metrics.counters
         assert counters[metric.CLOAKING_REGIONS_INVALIDATED].value == cached
         assert metrics.gauges[metric.CLOAKING_REGIONS_CACHED].value == 0
-
-
-class TestSharedHitAccounting:
-    """The shared/demand cache-hit split and the shared-hit status stamp."""
-
-    def _engine(self, small_dataset, small_graph, small_config, tuning=None):
-        return CloakingEngine(
-            small_dataset, small_graph, small_config, tuning=tuning
-        )
-
-    def test_shared_and_demand_hits_partition_cache_hits(
-        self, metrics, small_dataset, small_graph, small_config
-    ):
-        from repro.tuning import TuningPolicy
-
-        engine = self._engine(
-            small_dataset,
-            small_graph,
-            small_config,
-            tuning=TuningPolicy(share_regions=True),
-        )
-        first = engine.request(0)
-        assert first.status == "ok"
-        mates = sorted(first.cluster.members - {0})
-        # The miss pushed the region into every member's slot, so each
-        # mate is served as a *shared* hit, stamped as such.
-        for mate in mates:
-            result = engine.request(mate)
-            assert result.region_shared
-            assert result.status == "cache_hit_shared"
-            assert result.region.rect == first.region.rect
-        counters = metrics.counters
-        hits = counters[metric.CLOAKING_CACHE_HITS].value
-        shared = counters[metric.ENGINE_CACHE_SHARED_HITS].value
-        assert shared == len(mates) == hits
-        assert metric.ENGINE_CACHE_DEMAND_HITS not in counters
-        assert (
-            shared
-            + counters[metric.CLOAKING_CACHE_MISSES].value
-            == counters[metric.CLOAKING_REQUESTS].value
-        )
-
-    def test_untuned_hits_are_demand_hits(
-        self, metrics, small_dataset, small_graph, small_config
-    ):
-        engine = self._engine(small_dataset, small_graph, small_config)
-        first = engine.request(0)
-        mates = sorted(first.cluster.members - {0})
-        for mate in mates:
-            result = engine.request(mate)
-            assert not result.region_shared
-            assert result.status == "cache_hit"
-        counters = metrics.counters
-        assert counters[metric.ENGINE_CACHE_DEMAND_HITS].value == len(mates)
-        assert metric.ENGINE_CACHE_SHARED_HITS not in counters
-        assert (
-            counters[metric.ENGINE_CACHE_DEMAND_HITS].value
-            == counters[metric.CLOAKING_CACHE_HITS].value
-        )
-
-    def test_request_many_splits_batched_hits(
-        self, metrics, small_dataset, small_graph, small_config
-    ):
-        from repro.tuning import TuningPolicy
-
-        engine = self._engine(
-            small_dataset,
-            small_graph,
-            small_config,
-            tuning=TuningPolicy(share_regions=True),
-        )
-        first = engine.request(0)
-        members = sorted(first.cluster.members)
-        results = engine.request_many(members)
-        assert all(r.region_from_cache for r in results)
-        assert all(r.status == "cache_hit_shared" for r in results)
-        counters = metrics.counters
-        assert counters[metric.ENGINE_CACHE_SHARED_HITS].value == len(members)
-
-    def test_flight_recorder_stamps_shared_status(
-        self, small_dataset, small_graph, small_config
-    ):
-        from repro.obs import trace
-        from repro.tuning import TuningPolicy
-
-        engine = self._engine(
-            small_dataset,
-            small_graph,
-            small_config,
-            tuning=TuningPolicy(share_regions=True),
-        )
-        recorder = trace.install_recorder(trace.FlightRecorder())
-        try:
-            first = engine.request(0)
-            mate = sorted(first.cluster.members - {0})[0]
-            engine.request(mate)
-            ends = [
-                e for e in recorder.events()
-                if e.kind == trace.EVT_REQUEST_END
-            ]
-            assert [e.fields["status"] for e in ends] == [
-                "ok",
-                "cache_hit_shared",
-            ]
-            shared_hits = [
-                e for e in recorder.events()
-                if e.kind == trace.EVT_CACHE_HIT
-                and e.fields.get("shared")
-            ]
-            assert len(shared_hits) == 1
-        finally:
-            trace.uninstall_recorder()
 
 
 class TestMessageAccountingReconciliation:

@@ -281,6 +281,16 @@ class TestRestoreRefusals:
         with pytest.raises(PersistError, match="corrupt"):
             CloakingEngine.restore(PersistentStore(tmp_path / "store"))
 
+    def test_tuning_block_refused(self, tmp_path):
+        # Engines with proactive region sharing on wrote their per-member
+        # slots under meta["tuning"]; a restore must not drop them quietly.
+        arrays, meta = make_engine().snapshot_state()
+        meta["tuning"] = {"policy": {"k_floor": 3}, "slots": []}
+        store = PersistentStore(tmp_path / "store")
+        store.checkpoint(0, arrays, meta)
+        with pytest.raises(PersistError, match="tuning"):
+            CloakingEngine.restore(store)
+
     def test_custom_policy_refused(self):
         engine = make_engine(policy=lambda rect, area: rect)
         with pytest.raises(PersistError):

@@ -363,6 +363,24 @@ class TestEngineWiring:
         batch = engine.request_many([3, member])
         assert all(r.region_from_cache for r in batch)
 
+    def test_region_ids_stay_unique_after_invalidation(self, world):
+        ds, graph = world
+        engine = CloakingEngine(
+            ds, graph, SimulationConfig(k=5),
+            reliability=ReliabilityPolicy(seed=2),
+        )
+        first = engine.request(3)
+        host = 0
+        while engine.regions_cached < 3:
+            engine.request(host)
+            host += 1
+        assert engine.invalidate_region(first.cluster.members)
+        while engine.regions_cached < 3:
+            engine.request(host)
+            host += 1
+        ids = [r.cluster_id for r in engine.cached_regions().values()]
+        assert len(set(ids)) == len(ids), sorted(ids)
+
     def test_below_k_aborts_cleanly_with_empty_registry(self, world):
         ds, graph = world
         config = SimulationConfig(k=301)  # unsatisfiable over 300 users

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.obs.sentinel import (
     DEFAULT_TOLERANCE,
+    TRACKED,
     baseline_of,
     check,
     extract_metrics,
@@ -89,6 +91,16 @@ class TestExtraction:
         _schema, metrics = extract_metrics(doc)
         assert "tree.request_speedup" not in metrics
         assert "maintenance_speedup" in metrics
+
+    def test_committed_results_carry_tracked_schemas(self):
+        # The repository-root BENCH_*.json files are what the sentinel
+        # gates; each must parse under a tracked schema, every metric set.
+        root = Path(__file__).resolve().parents[1]
+        paths = sorted(root.glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            schema, metrics = extract_metrics(json.loads(path.read_text()))
+            assert set(metrics) == {t.name for t in TRACKED[schema]}, path.name
 
 
 class TestGate:

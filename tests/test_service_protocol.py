@@ -97,6 +97,13 @@ def test_cloaking_failure_is_an_outcome_not_an_error():
     assert failures > 0, "expected at least one under-k component"
 
 
+def test_spec_refuses_a_tuning_policy_but_loads_a_null_one():
+    payload = SPEC.to_dict()
+    assert ServiceSpec.from_dict({**payload, "tuning": None}) == SPEC
+    with pytest.raises(ServiceError, match="tuning"):
+        ServiceSpec.from_dict({**payload, "tuning": {"k_floor": 3}})
+
+
 # -- the frame loop over a real socket ------------------------------------------------
 
 MAX_FRAME = 4096

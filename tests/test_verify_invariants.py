@@ -34,8 +34,6 @@ EXPECTED_INVARIANTS = {
     "trace-ledger-agree",
     "snapshot-replay-equal",
     "service-shard-equal",
-    "region-share-equal",
-    "tuning-sound",
 }
 
 
