@@ -193,7 +193,6 @@ class CloakingEngine:
             self._clustering = self._reliable_session._clustering  # type: ignore[assignment]
             self._regions = self._reliable_session.regions
             self._policy_builder = self._resolve_policy(policy)
-            self._next_region_id = 0
             return
         if clustering == "tree":
             self._clustering_kind = "tree"
@@ -221,7 +220,7 @@ class CloakingEngine:
         self._policy_builder = self._resolve_policy(policy)
         self._regions: dict[frozenset[int], CloakedRegion] = {}
         # Monotonic so region ids stay unique across invalidations.
-        self._next_region_id = 0
+        self._region_counter = 0
 
     def _build_reliable_session(
         self,
@@ -292,6 +291,24 @@ class CloakingEngine:
     def dataset(self) -> PointDataset:
         """The user positions (a mutable view once churn has started)."""
         return self._dataset
+
+    @property
+    def _next_region_id(self) -> int:
+        """The next free region id.
+
+        On the reliability branch the session bounds, and numbers, the
+        regions itself, so its counter is the engine's only one.
+        """
+        if self._reliable_session is not None:
+            return self._reliable_session._next_region_id
+        return self._region_counter
+
+    @_next_region_id.setter
+    def _next_region_id(self, value: int) -> None:
+        if self._reliable_session is not None:
+            self._reliable_session._next_region_id = value
+        else:
+            self._region_counter = value
 
     @property
     def churn_runtime(self) -> Optional[IncrementalWPG]:

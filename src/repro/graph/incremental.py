@@ -5,19 +5,30 @@ scratch; under sustained movement that is the dominant cost of every tick
 even though a single move only disturbs a tiny neighborhood of the graph.
 :class:`IncrementalWPG` exploits the locality: a move can only change the
 directed peer picks of users whose delta-neighborhood intersects the
-mover's old or new position.  Re-ranking exactly that *dirty set* with the
-same vectorized kernels the from-scratch builder uses — and diffing the
-resulting picks against the maintained picks table — patches the graph to
-the state a full rebuild would produce, bit for bit.
+mover's old or new position.
+
+Every user's directed picks live in one ``(n, M)`` peer-id table: row
+``u`` holds u's picks closest first, so column ``c`` is u's rank-``c + 1``
+peer, and ``-1`` marks an empty slot (fewer than M peers in range, or a
+removed id).  Each batch re-ranks exactly the *dirty set* with the same
+vectorized kernels the from-scratch builder uses and rewrites those rows.
+The candidate pairs — a dirty user and one of its old or new picks — are
+reduced to unique canonical keys, and each pair's mutual-rank weight is
+computed in numpy from the table before and after the rewrite.  Only the
+pairs whose weight changed reach the graph, as one checked batch edit
+(:meth:`~repro.graph.wpg.WeightedProximityGraph.edit_edges`), which
+leaves it in the state a full rebuild would produce, bit for bit.
 
 The equivalence argument: an edge ``(a, b)`` and its weight are a pure
-function of ``picks[a].get(b)`` and ``picks[b].get(a)`` (the two directed
-1-based ranks).  A user's picks are a pure function of its
-delta-neighborhood and the pairwise distances inside it.  Both can only
-change for users within delta of a mover's old or new position, and the
-dirty-set re-rank recomputes picks with the exact float operations of
+function of the two directed 1-based ranks, b's in row ``a`` and a's in
+row ``b``.  A user's picks are a pure function of its delta-neighborhood
+and the pairwise distances inside it.  Both can only change for users
+within delta of a mover's old or new position, and the dirty-set re-rank
+recomputes picks with the exact float operations of
 :meth:`~repro.radio.measurement.ProximityMeter.rank_all` — so every pick,
 and therefore every edge weight, matches the from-scratch build exactly.
+A pair whose weight changed has a rank that changed, so a dirty endpoint
+picked the other before or after: it is among the candidates.
 
 Stateful radio models (shadowing RNGs, TDOA noise) are rejected: their
 readings depend on the measurement *order*, which an incremental re-rank
@@ -47,13 +58,15 @@ class ChurnPatch:
     """What one :meth:`IncrementalWPG.apply_moves` batch changed.
 
     ``touched_users`` are the dirty-set ids (sorted ascending): every user
-    whose picks were re-ranked, i.e. the only vertices whose incident
-    edges may differ from before.  Any component/dendrogram cache a caller
-    maintains needs invalidation exactly for components containing these.
+    whose picks were re-ranked.  Every changed edge has at least one
+    endpoint among them, but not necessarily both — a re-ranked user can
+    drop or gain a pick of a user that was not re-ranked — so a cache
+    keyed by vertex must invalidate along ``changed_edges``, not along
+    ``touched_users``.
 
     ``changed_edges`` are the structural diffs themselves, as ``(u, v)``
-    keys (u < v) of every edge added, removed or reweighted — the precise
-    invalidation set consumers like
+    keys (u < v, sorted ascending) of every edge added, removed or
+    reweighted — the precise invalidation set consumers like
     :meth:`~repro.graph.cluster_tree.ClusterTree.apply_patch` rebuild
     along (a re-ranked user whose picks diffed to nothing appears in
     ``touched_users`` but contributes no changed edge).
@@ -83,6 +96,15 @@ def _require_stateless(model: RSSModel) -> None:
         "incremental WPG maintenance requires a stateless radio model "
         f"(order-independent readings); got {type(model).__name__}"
     )
+
+
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values: ``np.unique`` by one sort, without its
+    hash pass (several times slower on these key arrays)."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 class IncrementalWPG:
@@ -126,15 +148,14 @@ class IncrementalWPG:
         self._max_peers = max_peers
         self._model: RSSModel = model if model is not None else IdealRSSModel()
         _require_stateless(self._model)
-        # Directed picks table: _picks[u] maps peer -> u's 1-based rank of
-        # that peer; None marks a removed (hole) id.
-        self._picks: list[dict[int, int] | None] = [
-            None if grid._points[i] is None else {} for i in range(len(grid))
-        ]
-        u, v, ranks = self._rank_users(np.asarray(grid.live_ids(), dtype=np.int64))
-        for a, b, r in zip(u.tolist(), v.tolist(), ranks.tolist()):
-            self._picks[a][b] = int(r)
-        us, vs, ws = mutual_rank_edges(len(grid), u, v, ranks)
+        # The picks table (see module docstring): rank = column + 1.
+        self._picks = np.full((len(grid), max_peers), -1, dtype=np.int64)
+        live = np.asarray(grid.live_ids(), dtype=np.int64)
+        self._picks[live] = self._rank_users(live)
+        users, peers, ranks = self._directed()
+        us, vs, ws = mutual_rank_edges(
+            len(grid), users, peers, ranks.astype(float)
+        )
         if graph is None:
             self._graph = WeightedProximityGraph.from_arrays(len(grid), us, vs, ws)
         else:
@@ -159,17 +180,52 @@ class IncrementalWPG:
         exported by :meth:`export_picks` from a maintainer whose graph
         was bit-equal to ``graph`` at snapshot time, so the O(n·M)
         re-rank and the O(E) adoption audit of ``__init__`` are skipped
-        — restore cost is the array walk below.  The grid slot table
-        must match ``picks_indptr`` hole for hole.
+        — restore cost is one scatter into the table.  The columns are
+        still checked for shape before the scatter (a rank of 0 would
+        otherwise land silently in the last column): ranks must lie in
+        1..M and be distinct per user, peers must be live ids, and the
+        grid slot table must match ``picks_indptr`` hole for hole.
         """
         if delta <= 0:
             raise ConfigurationError(f"delta must be positive, got {delta}")
         if max_peers < 1:
             raise ConfigurationError(f"max_peers must be >= 1, got {max_peers}")
-        if len(picks_indptr) != len(grid) + 1:
+        n = len(grid)
+        indptr = np.asarray(picks_indptr, dtype=np.int64)
+        peers = np.asarray(picks_peers, dtype=np.int64)
+        ranks = np.asarray(picks_ranks, dtype=np.int64)
+        if len(indptr) != n + 1:
             raise ConfigurationError(
-                f"picks table covers {len(picks_indptr) - 1} id slots but "
-                f"the grid indexes {len(grid)}"
+                f"picks table covers {len(indptr) - 1} id slots but "
+                f"the grid indexes {n}"
+            )
+        counts = np.diff(indptr)
+        if (
+            indptr[0] != 0
+            or indptr[-1] != len(peers)
+            or len(ranks) != len(peers)
+            or bool(np.any(counts < 0))
+        ):
+            raise ConfigurationError("picks table CSR columns are inconsistent")
+        if len(peers) and (int(ranks.min()) < 1 or int(ranks.max()) > max_peers):
+            raise ConfigurationError(
+                f"picks table holds a rank outside 1..{max_peers}"
+            )
+        if len(peers) and (int(peers.min()) < 0 or int(peers.max()) >= n):
+            raise ConfigurationError(
+                f"picks table names a peer outside 0..{n - 1}"
+            )
+        hole = np.ones(n, dtype=bool)
+        hole[np.asarray(grid.live_ids(), dtype=np.int64)] = False
+        if bool(np.any(counts[hole] > 0)) or bool(np.any(hole[peers])):
+            raise ConfigurationError(
+                "picks table gives picks to or from a removed id"
+            )
+        table = np.full((n, max_peers), -1, dtype=np.int64)
+        table[np.repeat(np.arange(n), counts), ranks - 1] = peers
+        if np.count_nonzero(table >= 0) != len(peers):
+            raise ConfigurationError(
+                "picks table repeats a rank within one user's picks"
             )
         wpg = cls.__new__(cls)
         wpg._grid = grid
@@ -177,43 +233,25 @@ class IncrementalWPG:
         wpg._max_peers = max_peers
         wpg._model = model if model is not None else IdealRSSModel()
         _require_stateless(wpg._model)
-        peers = picks_peers.tolist()
-        ranks = picks_ranks.tolist()
-        indptr = picks_indptr.tolist()
-        picks: list[dict[int, int] | None] = []
-        for slot in range(len(grid)):
-            if grid._points[slot] is None:
-                picks.append(None)
-            else:
-                lo, hi = indptr[slot], indptr[slot + 1]
-                picks.append(dict(zip(peers[lo:hi], ranks[lo:hi])))
-        wpg._picks = picks
+        wpg._picks = table
         wpg._graph = graph
         return wpg
 
     def export_picks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The directed picks table as CSR columns for a snapshot.
 
-        Returns ``(indptr, peers, ranks)`` with one (possibly empty)
-        segment per id slot; hole slots get empty segments and are
-        re-holed on restore from the grid's own slot table.  Peers keep
-        dict-insertion order — edge derivation only reads membership and
-        rank, so order is not observable, but keeping it makes the
-        round-trip byte-stable.
+        Returns ``(indptr, peers, ranks)`` (all int64) with one (possibly
+        empty) segment per id slot, each user's picks in rank order; hole
+        slots get empty segments and are re-holed on restore from the
+        grid's own slot table.  :meth:`restore` of these columns gives a
+        table whose export is equal to this one, bit for bit.
         """
+        users, peers, ranks = self._directed()
         indptr = np.zeros(len(self._picks) + 1, dtype=np.int64)
-        peers: list[int] = []
-        ranks: list[int] = []
-        for slot, table in enumerate(self._picks):
-            if table:
-                peers.extend(table.keys())
-                ranks.extend(table.values())
-            indptr[slot + 1] = len(peers)
-        return (
-            indptr,
-            np.asarray(peers, dtype=np.int64),
-            np.asarray(ranks, dtype=np.int64),
+        np.cumsum(
+            np.bincount(users, minlength=len(self._picks)), out=indptr[1:]
         )
+        return indptr, peers, ranks
 
     @property
     def graph(self) -> WeightedProximityGraph:
@@ -224,6 +262,19 @@ class IncrementalWPG:
     def grid(self) -> GridIndex:
         """The underlying spatial index."""
         return self._grid
+
+    def _directed(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The table as directed ``(users, peers, 1-based ranks)`` columns.
+
+        Users ascending, each user's picks in rank order (int64 columns).
+        """
+        filled = self._picks >= 0
+        users, cols = np.nonzero(filled)
+        return (
+            users.astype(np.int64, copy=False),
+            self._picks[filled],
+            cols.astype(np.int64, copy=False) + 1,
+        )
 
     def _verify_adopted(
         self,
@@ -251,30 +302,27 @@ class IncrementalWPG:
                 "delta/max_peers and a stateless radio model?"
             )
 
-    def _rank_users(
-        self, users: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed picks of ``users`` (sorted ascending live ids).
+    def _rank_users(self, users: np.ndarray) -> np.ndarray:
+        """Picks-table rows of ``users`` (sorted ascending live ids).
 
-        Returns ``(u, v, ranks)`` — each user's up-to-M closest peers
-        within delta and their 1-based ranks, computed with the exact
+        Row ``i`` holds ``users[i]``'s up-to-M closest peers within
+        delta, closest first, ``-1``-padded — computed with the exact
         float operations of the from-scratch fast build.
         """
-        coords = self._grid.points_array()
+        rows = np.full((len(users), self._max_peers), -1, dtype=np.int64)
         if len(users) == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty, np.zeros(0, dtype=float)
+            return rows
+        coords = self._grid.points_array()
         indptr, nbrs = self._grid.batch_query_radius(
             self._delta, centers=coords[users]
         )
-        owners = np.repeat(users, np.diff(indptr))
+        # Each center is a live indexed point, so every segment contains
+        # exactly one self-match.
+        counts = np.diff(indptr) - 1
+        owners = np.repeat(users, counts + 1)
         not_self = nbrs != owners
         owners, nbrs = owners[not_self], nbrs[not_self]
-        # Each center is a live indexed point, so every segment contained
-        # exactly one self-match.
-        indptr = np.concatenate(([0], np.cumsum(np.diff(indptr) - 1))).astype(
-            np.int64
-        )
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
         xs = coords[:, 0]
         ys = coords[:, 1]
         dx = xs[owners] - xs[nbrs]
@@ -289,7 +337,26 @@ class IncrementalWPG:
         # once; `owners` ascending keeps segments contiguous and in id
         # order, matching rank_all's grouping.
         order = np.lexsort((nbrs, -readings, owners))
-        return directed_picks(owners, indptr, nbrs[order], self._max_peers)
+        row_of = np.repeat(np.arange(len(users), dtype=np.int64), counts)
+        rows_kept, peers, ranks = directed_picks(
+            row_of, indptr, nbrs[order], self._max_peers
+        )
+        rows[rows_kept, ranks.astype(np.int64) - 1] = peers
+        return rows
+
+    def _mutual_weights(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """Current mutual-rank weight of each pair; 0 where there is no edge."""
+        pairs = len(lo)
+        rows = self._picks[np.concatenate((lo, hi))]
+        hit = rows == np.concatenate((hi, lo))[:, None]
+        # A peer appears at most once per row, so the masked column sum
+        # is its rank, or 0 when it was not picked.
+        rank = hit @ np.arange(1, self._max_peers + 1)
+        absent = self._max_peers + 1
+        rank[rank == 0] = absent
+        weight = np.minimum(rank[:pairs], rank[pairs:])
+        weight[weight == absent] = 0
+        return weight
 
     def apply_moves(self, moves: Sequence[tuple[int, Point]]) -> ChurnPatch:
         """Move a batch of users and patch the graph to match.
@@ -321,64 +388,52 @@ class IncrementalWPG:
             _, near_new = self._grid.batch_query_radius(
                 self._delta, centers=coords[ids_arr]
             )
-            dirty = np.unique(np.concatenate((ids_arr, near_old, near_new)))
+            dirty = _unique(np.concatenate((ids_arr, near_old, near_new)))
 
         with obs.span(metric.SPAN_CHURN_WPG):
             return self._patch(ids, dirty)
 
     def _patch(self, ids: list[int], dirty: np.ndarray) -> ChurnPatch:
-        """Re-rank the dirty set and diff the picks into the graph."""
-        # Re-rank exactly the dirty users at the final positions.
-        u, v, ranks = self._rank_users(dirty)
+        """Re-rank the dirty set and write the changed weights to the graph."""
+        rows = self._rank_users(dirty)
 
-        # Candidate edge pairs: every (dirty user, old-or-new pick).  Any
-        # edge not incident to such a pair has both directed ranks
-        # unchanged, hence the same weight.
-        pairs: set[tuple[int, int]] = set()
+        # Candidate pairs: every (dirty user, old-or-new pick), as unique
+        # canonical keys lo * n + hi.  Any other pair has both directed
+        # ranks unchanged, hence the same weight.
+        n = len(self._picks)
+        picks = np.concatenate((self._picks[dirty], rows), axis=1)
+        picked = picks >= 0
+        owners = np.broadcast_to(dirty[:, None], picks.shape)[picked]
+        peers = picks[picked]
+        keys = _unique(
+            np.minimum(owners, peers) * np.int64(n) + np.maximum(owners, peers)
+        )
+        lo, hi = np.divmod(keys, n)
+
+        before = self._mutual_weights(lo, hi)
+        self._picks[dirty] = rows
+        after = self._mutual_weights(lo, hi)
+
+        changed = np.flatnonzero(before != after)
+        lo, hi = lo[changed].tolist(), hi[changed].tolist()
+        before, after = before[changed], after[changed]
+        added = int(np.count_nonzero(before == 0))
+        removed = int(np.count_nonzero(after == 0))
+        self._graph.edit_edges(
+            zip(
+                lo,
+                hi,
+                [w or None for w in before.astype(float).tolist()],
+                [w or None for w in after.astype(float).tolist()],
+            )
+        )
         dirty_list = dirty.tolist()
-        for w in dirty_list:
-            for p in self._picks[w]:
-                pairs.add((w, p) if w < p else (p, w))
-            self._picks[w] = {}
-        for a, b, r in zip(u.tolist(), v.tolist(), ranks.tolist()):
-            self._picks[a][b] = int(r)
-            pairs.add((a, b) if a < b else (b, a))
-
-        added = removed = reweighted = 0
-        changed: list[tuple[int, int]] = []
-        graph = self._graph
-        for a, b in pairs:
-            ra = self._picks[a].get(b)
-            rb = self._picks[b].get(a)
-            if ra is None and rb is None:
-                desired = None
-            elif ra is None:
-                desired = float(rb)
-            elif rb is None:
-                desired = float(ra)
-            else:
-                desired = float(min(ra, rb))
-            if desired is None:
-                if graph.has_edge(a, b):
-                    graph.remove_edge(a, b)
-                    removed += 1
-                    changed.append((a, b))
-            elif not graph.has_edge(a, b):
-                graph.add_edge(a, b, desired)
-                added += 1
-                changed.append((a, b))
-            elif graph.weight(a, b) != desired:
-                graph.remove_edge(a, b)
-                graph.add_edge(a, b, desired)
-                reweighted += 1
-                changed.append((a, b))
-        changed.sort()
         return ChurnPatch(
             moved=len(ids),
             dirty_users=len(dirty_list),
             edges_added=added,
             edges_removed=removed,
-            edges_reweighted=reweighted,
+            edges_reweighted=len(lo) - added - removed,
             touched_users=tuple(dirty_list),
-            changed_edges=tuple(changed),
+            changed_edges=tuple(zip(lo, hi)),
         )

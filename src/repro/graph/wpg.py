@@ -179,6 +179,43 @@ class WeightedProximityGraph:
             raise GraphError(f"no edge ({u}, {v})") from exc
         self._edge_count -= 1
 
+    def edit_edges(
+        self, edits: Iterable[tuple[int, int, float | None, float | None]]
+    ) -> None:
+        """Apply a batch of edge edits, each checked against the graph.
+
+        Each edit ``(u, v, old, new)`` gives the weight the edge has now
+        and the weight it must have afterwards, ``None`` standing for no
+        edge: ``old=None`` adds, ``new=None`` removes, two weights
+        reweight in place.  Each direction of the adjacency is written
+        once per edit; a pair may appear at most once per batch.  Every
+        edit is checked before any is applied: if a stored weight differs
+        from ``old`` (the caller's view of the graph has drifted from
+        the graph) a :class:`GraphError` is raised and nothing changes.
+        """
+        adj = self._adjacency
+        edits = list(edits)
+        for u, v, old, _new in edits:
+            if u == v:
+                raise GraphError(f"self-loop on vertex {u}")
+            stored = adj.get(u, {}).get(v)
+            if stored != old:
+                raise GraphError(
+                    f"edge ({u}, {v}) has weight {stored}, the edit "
+                    f"expected {old}"
+                )
+        for u, v, old, new in edits:
+            if new is None:
+                if old is not None:
+                    del adj[u][v]
+                    del adj[v][u]
+                    self._edge_count -= 1
+            else:
+                adj.setdefault(u, {})[v] = new
+                adj.setdefault(v, {})[u] = new
+                if old is None:
+                    self._edge_count += 1
+
     # -- inspection -------------------------------------------------------------
 
     def __contains__(self, vertex: int) -> bool:

@@ -13,7 +13,9 @@ Two families of properties back the dynamic-population runtime:
 * After ANY random batch sequence of moves, the incrementally-patched
   WPG equals :func:`build_wpg_fast` from scratch over the final
   positions (via the shared equality oracle from
-  :mod:`repro.verify.invariants` — float weights compared bit for bit).
+  :mod:`repro.verify.invariants` — float weights compared bit for bit),
+  and each batch's :class:`ChurnPatch` names exactly the edges whose
+  weight it changed.
 """
 
 from __future__ import annotations
@@ -122,6 +124,10 @@ def test_mutated_grid_batch_queries_match_fresh(data):
     assert [to_fresh[i] for i in nbrs.tolist()] == fresh_nbrs.tolist()
 
 
+def _edge_map(graph) -> dict[tuple[int, int], float]:
+    return {edge.key(): edge.weight for edge in graph.edges()}
+
+
 @given(st.data())
 def test_incremental_wpg_equals_rebuild_after_random_moves(data):
     n = data.draw(st.integers(8, 24), label="n")
@@ -148,9 +154,25 @@ def test_incremental_wpg_equals_rebuild_after_random_moves(data):
             point = Point(x, y)
             current[user] = point
             moves.append((user, point))
+        before = _edge_map(maintainer.graph)
         patch = maintainer.apply_moves(moves)
+        after = _edge_map(maintainer.graph)
         assert patch.moved == len(moves)
         assert set(movers) <= set(patch.touched_users)
+        # The patch describes exactly the edge-map difference.
+        changed = {
+            key for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)
+        }
+        assert list(patch.changed_edges) == sorted(changed)
+        assert patch.edges_added == sum(key not in before for key in changed)
+        assert patch.edges_removed == sum(key not in after for key in changed)
+        assert patch.edges_reweighted == sum(
+            key in before and key in after for key in changed
+        )
+        assert list(patch.touched_users) == sorted(set(patch.touched_users))
+        touched = set(patch.touched_users)
+        assert all(u in touched or v in touched for u, v in changed)
         rebuilt = build_wpg_fast(PointDataset(current), delta, max_peers)
         assert (
             graph_equality_details(

@@ -95,6 +95,27 @@ class TestGraphBasics:
         assert 7 in g
         assert g.degree(7) == 0
 
+    def test_edit_edges_adds_removes_and_reweights(self):
+        g = WeightedProximityGraph.from_arrays(4, [0, 1], [1, 2], [1.0, 2.0])
+        g.edit_edges([(0, 1, 1.0, None), (1, 2, 2.0, 3.0), (2, 3, None, 1.0)])
+        assert sorted((e.key(), e.weight) for e in g.edges()) == [
+            ((1, 2), 3.0),
+            ((2, 3), 1.0),
+        ]
+        assert g.weight(2, 1) == 3.0
+        assert g.edge_count == 2
+
+    def test_edit_edges_refuses_a_stale_view_whole(self):
+        g = WeightedProximityGraph.from_edges([(1, 2, 1.0), (2, 3, 2.0)])
+        for stale in ((1, 2, 2.0, 3.0), (1, 3, 1.0, None), (2, 3, None, 1.0)):
+            with pytest.raises(GraphError):
+                g.edit_edges([(1, 2, 1.0, None), stale])
+        assert sorted((e.key(), e.weight) for e in g.edges()) == [
+            ((1, 2), 1.0),
+            ((2, 3), 2.0),
+        ]
+        assert g.edge_count == 2
+
 
 class TestDerivedGraphs:
     @pytest.fixture()

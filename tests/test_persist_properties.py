@@ -2,7 +2,8 @@
 
 Hypothesis drives the export/import pairs the snapshot subsystem is
 built from — :meth:`GridIndex.export_arrays` / ``from_export``,
-:meth:`ClusterTree.to_state` / ``from_state``, and
+:meth:`ClusterTree.to_state` / ``from_state``,
+:meth:`IncrementalWPG.export_picks` / ``restore``, and
 :func:`graph_to_arrays` / :func:`graph_from_arrays` — over randomly
 generated worlds (:func:`repro.verify.worlds.world_strategy`), random
 mutation sequences (so id holes from removals and post-churn states are
@@ -134,6 +135,81 @@ class TestClusterTreeRoundTrip:
         bad["node_indptr"] = state["node_indptr"][:-1]
         with pytest.raises(GraphError):
             ClusterTree.from_state(graph, bad)
+
+
+class TestPicksRoundTrip:
+    @settings(deadline=None, max_examples=60)
+    @given(st.data())
+    def test_restored_picks_export_and_churn_identically(self, data):
+        n = data.draw(st.integers(6, 20), label="n")
+        coords = data.draw(
+            st.lists(coordinate_pair, min_size=n, max_size=n), label="positions"
+        )
+        delta = data.draw(st.sampled_from([0.12, 0.25, 0.4]), label="delta")
+        max_peers = data.draw(st.integers(1, 5), label="max_peers")
+        grid = GridIndex([Point(x, y) for x, y in coords], cell_size=delta)
+        for hole in data.draw(
+            st.sets(st.integers(0, n - 1), max_size=2), label="holes"
+        ):
+            grid.remove(hole)
+        live = sorted(grid.live_ids())
+        runtime = IncrementalWPG(grid, delta, max_peers)
+
+        def batch():
+            movers = data.draw(
+                st.sets(st.sampled_from(live), min_size=1, max_size=4),
+                label="movers",
+            )
+            return [
+                (user, Point(*data.draw(coordinate_pair, label="to")))
+                for user in sorted(movers)
+            ]
+
+        for _ in range(data.draw(st.integers(0, 4), label="batches")):
+            runtime.apply_moves(batch())
+        picks = runtime.export_picks()
+        clone = IncrementalWPG.restore(
+            GridIndex.from_export(grid.export_arrays(), cell_size=delta),
+            delta,
+            max_peers,
+            runtime.graph.copy(),
+            *picks,
+        )
+        for original, restored in zip(picks, clone.export_picks()):
+            assert restored.dtype == original.dtype
+            assert restored.tobytes() == original.tobytes()
+        moves = batch()
+        assert clone.apply_moves(moves) == runtime.apply_moves(moves)
+        details = graph_equality_details(
+            clone.graph, runtime.graph, "restored", "original"
+        )
+        assert not details, details
+
+    @pytest.mark.parametrize(
+        "peers, ranks",
+        [
+            ([1, 0], [0, 1]),  # rank 0
+            ([1, 0], [1, 3]),  # rank M + 1
+            ([1, 3], [1, 1]),  # peer id n
+            ([-1, 0], [1, 1]),  # negative peer id
+            ([1, 2], [1, 1]),  # peer id of a removed user
+        ],
+    )
+    def test_malformed_picks_rejected(self, peers, ranks):
+        import numpy as np
+
+        grid = GridIndex(
+            [Point(0.1, 0.1), Point(0.12, 0.1), Point(0.5, 0.5)], cell_size=0.1
+        )
+        grid.remove(2)
+        runtime = IncrementalWPG(grid, 0.1, 2)
+        indptr, good_peers, good_ranks = runtime.export_picks()
+        assert good_peers.tolist() == [1, 0] and good_ranks.tolist() == [1, 1]
+        with pytest.raises(ConfigurationError):
+            IncrementalWPG.restore(
+                grid, 0.1, 2, runtime.graph, indptr,
+                np.array(peers), np.array(ranks),
+            )
 
 
 class TestGraphArraysRoundTrip:

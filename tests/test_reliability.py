@@ -381,6 +381,27 @@ class TestEngineWiring:
         ids = [r.cluster_id for r in engine.cached_regions().values()]
         assert len(set(ids)) == len(ids), sorted(ids)
 
+    def test_session_and_engine_share_one_region_counter(self, world):
+        # The session numbers the regions it bounds; the snapshot and an
+        # adopted region must continue that numbering, not restart at 0.
+        ds, graph = world
+        engine = CloakingEngine(
+            ds, graph, SimulationConfig(k=5),
+            reliability=ReliabilityPolicy(seed=2),
+        )
+        for host in (3, 0, 1):
+            engine.request(host)
+        ids = sorted(r.cluster_id for r in engine.cached_regions().values())
+        _arrays, meta = engine.snapshot_state()
+        assert meta["next_region_id"] == max(ids) + 1
+        # Cached keys are k-member clusters, so a singleton key is new.
+        assert engine.adopt_region(
+            [3], engine.request(3).region.rect, anonymity=1
+        )
+        ids = [r.cluster_id for r in engine.cached_regions().values()]
+        assert len(set(ids)) == len(ids), sorted(ids)
+        assert max(ids) == engine.snapshot_state()[1]["next_region_id"] - 1
+
     def test_below_k_aborts_cleanly_with_empty_registry(self, world):
         ds, graph = world
         config = SimulationConfig(k=301)  # unsatisfiable over 300 users
