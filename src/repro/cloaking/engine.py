@@ -41,7 +41,6 @@ from repro.cloaking.region import CloakedRegion
 from repro.bounding.boxing import optimal_bounding_box, secure_bounding_box
 from repro.bounding.policies import IncrementPolicy
 from repro.bounding.presets import paper_policy
-from repro.graph.cluster_tree import ClusterTree
 from repro.graph.incremental import ChurnPatch, IncrementalWPG
 from repro.graph.io import graph_from_arrays, graph_to_arrays
 from repro.graph.wpg import WeightedProximityGraph
@@ -765,8 +764,9 @@ class CloakingEngine:
 
         Arrays (bit-exact numpy columns): user positions, the WPG, and —
         once churn has started — the grid's cell buckets and the
-        incremental maintainer's directed-picks table; tree-flavored
-        engines add the cluster-tree dendrogram columns.  Meta (JSON):
+        incremental maintainer's directed-picks table.  The cluster tree
+        of a tree-flavored engine is derived data and is not stored:
+        :meth:`restore` rebuilds it from the graph.  Meta (JSON):
         config, engine flavor, the region cache, the cluster registry in
         registration order, centralized partition flags, and (for
         message-level sessions) every device's disclosure ledger.
@@ -792,10 +792,6 @@ class CloakingEngine:
             arrays["picks_peers"] = peers
             arrays["picks_ranks"] = ranks
         clustering = self._clustering
-        if isinstance(clustering, TreeClustering):
-            for key, value in clustering.tree.to_state().items():
-                dtype = float if key == "weight" else np.int64
-                arrays[f"tree_{key}"] = np.asarray(value, dtype=dtype)
         registry = clustering.registry
         meta: dict = {
             "engine": {
@@ -861,12 +857,21 @@ class CloakingEngine:
         """Rebuild an engine from the store's latest snapshot + journal.
 
         The snapshot's arrays come back through the trusted constructors
-        (no re-rank, no re-partition, no tree rebuild); the journal's
-        surviving records — anything past the snapshot's seq, torn tail
-        discarded — replay through the live churn path.  The result is
-        bit-identical to the engine that never crashed: same graph, same
-        tree, same regions, same registry, same future behaviour.  The
-        restored engine stays attached to ``store``.
+        (no re-rank, no re-partition); a tree-flavored engine builds its
+        cluster tree afresh from the restored graph (the tree is derived
+        data, so ``tree_*`` arrays in older snapshots are ignored).  The
+        journal's surviving records — anything past the snapshot's seq,
+        torn tail discarded — replay through the live churn path.
+
+        Positions and graph come back bit-identical to the engine that
+        crashed, and the cluster tree node for node.  The registry and
+        the region cache come back as of the last checkpoint, with the
+        replayed batches' invalidations applied: only move batches are
+        journaled, so clusters registered and regions formed after the
+        last checkpoint are lost, and the restored engine clusters and
+        bounds those users afresh on their next request (possibly into
+        different clusters).  A checkpoint after serving keeps them.
+        The restored engine stays attached to ``store``.
         """
         with obs.span(metric.SPAN_PERSIST_RESTORE):
             arrays, meta = store.require_latest_snapshot()
@@ -910,22 +915,8 @@ class CloakingEngine:
                 registry.register(members)
             kind = info["clustering"]
             if kind == "tree":
-                tree_state = {
-                    key: arrays[f"tree_{key}"].tolist()
-                    for key in (
-                        "comp_ids",
-                        "node_indptr",
-                        "parent",
-                        "weight",
-                        "size",
-                        "leaf_lo",
-                        "leaf_order",
-                        "next_id",
-                    )
-                }
-                tree = ClusterTree.from_state(graph, tree_state)
                 service: ClusteringService = TreeClustering(
-                    graph, config.k, registry=registry, tree=tree
+                    graph, config.k, registry=registry
                 )
             elif kind == "centralized":
                 central_service = CentralizedAnonymizer(

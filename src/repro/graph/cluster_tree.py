@@ -34,14 +34,52 @@ from the root for every query and rebuilt from scratch per request.
 * *marked leaves* bookkeeping (:meth:`mark` / :meth:`marked_below`):
   callers flag assigned users so a lookup can prove, in O(1) per node,
   that a resolved cluster is untouched by registry exclusions and the
-  assignment-oblivious tree answer is exact;
-* incremental maintenance under churn (:meth:`apply_patch`): only the
-  components incident to a patch's changed edges are re-derived (plus
-  the components they merge into, discovered by a closure walk over the
-  patched graph); every other component tree, with all its memos,
-  survives.  After the call the tree is bit-identical to a fresh build
-  over the patched graph — the ``cluster-tree-equal`` fuzz invariant
-  checks exactly that.
+  assignment-oblivious tree answer is exact.
+
+**The builder** is array-native: the tree keeps the graph's edges as
+int64 ``(u, v)`` keys (ascending) with float64 weights, and one numpy
+pass derives every component tree of a vertex scope from them.
+
+1. Edges are grouped by weight level in ``(weight, key)`` order — the
+   scan order of :func:`~repro.graph.dendrogram.single_linkage_dendrogram`.
+2. Per level, the edges joining two pre-level components are contracted
+   by Borůvka rounds (:func:`_spanning_forest`: hook every component to
+   its earliest edge, shortcut by pointer jumping).  With edges ranked by
+   key the spanning forest is unique, so it is exactly the set of edges
+   the Kruskal scan merges on; the contraction gives the level's
+   component labels, and every label that absorbed two or more
+   pre-level components is a dendrogram node of that weight.
+3. The child order of ``single_linkage_dendrogram`` — each merge
+   appends the v-side's children to the u-side's — is replayed over the
+   merging edges alone (:func:`_concatenation_order`, the only per-edge
+   Python loop: a linked-list union-find).
+4. The same Borůvka contraction ranked by *descending* key yields the
+   level's slice of the constrained Kruskal forest.
+5. Subtree sizes, sibling offsets and preorder indices are prefix sums
+   per level (:func:`_tree_columns`), and the columns are sliced into
+   one :class:`_ComponentTree` per component, with marked counters as
+   prefix sums over leaf order.
+
+No dendrogram node objects, edge objects or subgraph copies are made.
+The result equals ``single_linkage_dendrogram`` column for column,
+child order included (pinned by ``tests/test_cluster_tree.py`` against
+:func:`repro.verify.oracles.oracle_tree_columns`).
+
+**Churn** (:meth:`apply_patch`): the edge columns are patched from the
+patch's changed edges, with the new weights read off the live graph,
+and exactly the old components incident to a changed edge are rebuilt.
+No other component can be affected: an unchanged edge joined two
+vertices of one old component, and a changed edge has both endpoints in
+rebuilt components, so the rebuild scope is closed under edges.  Every
+untouched component tree, with all its memos, survives.  After the call
+the tree is bit-identical to a fresh build over the patched graph — the
+``cluster-tree-equal`` fuzz invariant checks exactly that.
+
+The tree is *eager*: :meth:`apply_patch` lays every rebuilt component
+out in full, so requests never pay for construction.  A labels-only
+tree that lays nodes out on demand would make patches cheaper still,
+but the request that first reaches a large node would then build it —
+about 0.4 s for a 40k-user component of a 50k-user WPG.
 
 Node handles are ``(component id, node index)`` pairs; they are
 invalidated for rebuilt components by :meth:`apply_patch` (their
@@ -50,10 +88,13 @@ component id disappears), never silently reused.
 
 from __future__ import annotations
 
+from itertools import chain, islice
+from operator import add
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
+import numpy as np
+
 from repro.errors import ConfigurationError, GraphError
-from repro.graph.dendrogram import DendrogramNode, single_linkage_dendrogram
 from repro.graph.unionfind import UnionFind
 from repro.graph.wpg import WeightedProximityGraph
 
@@ -69,6 +110,197 @@ def _is_cut(
 ) -> bool:
     """Whether tree edge (x, y) has been cut (its child endpoint is a top)."""
     return (parent[y] == x and y in tops) or (parent[x] == y and x in tops)
+
+
+# -- the array-native builder ----------------------------------------------------
+
+
+def _pointer_jump(succ: np.ndarray) -> np.ndarray:
+    """Every element's root under ``succ`` (roots point to themselves)."""
+    while True:
+        hop = succ[succ]
+        if np.array_equal(hop, succ):
+            return succ
+        succ = hop
+
+
+def _spanning_forest(
+    x: np.ndarray, y: np.ndarray, labels: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The edges a Kruskal scan in array order accepts, by Borůvka rounds.
+
+    ``x``/``y`` are endpoint labels in ``0..labels-1``, never equal.
+    Ranking edges by position makes every rank distinct, so the minimum
+    spanning forest is unique and is exactly the set the sequential scan
+    accepts.  Each round adds every component's earliest incident edge
+    and contracts along them (two components that picked each other
+    picked the same edge; the smaller label becomes the root), at least
+    halving the components that still have edges.  Returns the accepted
+    mask and each label's representative after contraction.
+    """
+    count = len(x)
+    accepted = np.zeros(count, dtype=bool)
+    rep = np.arange(labels)
+    edge = np.arange(count)
+    while edge.size:
+        first = np.full(labels, count)
+        np.minimum.at(first, x, edge)
+        np.minimum.at(first, y, edge)
+        comps = np.flatnonzero(first < count)
+        picked = first[comps]
+        accepted[picked] = True
+        at = np.searchsorted(edge, picked)
+        succ = np.arange(labels)
+        succ[comps] = np.where(x[at] == comps, y[at], x[at])
+        mutual = (succ[succ[comps]] == comps) & (comps < succ[comps])
+        succ[comps[mutual]] = comps[mutual]
+        succ = _pointer_jump(succ)
+        rep = succ[rep]
+        x, y = succ[x], succ[y]
+        live = x != y
+        edge, x, y = edge[live], x[live], y[live]
+    return accepted, rep
+
+
+def _concatenation_order(
+    us: np.ndarray, vs: np.ndarray, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Replay ``single_linkage_dendrogram``'s child-list concatenations.
+
+    ``us``/``vs`` are one level's merging edges in key order, as compact
+    ids ``0..count-1`` of the pre-level components they join.  Every
+    merge appends the v-side's child list to the u-side's; linked lists
+    under a union-find replay that in one pass over the merging edges.
+    The u-side's root always stays the root, so a set's root is the head
+    of its list.  Returns each component's merged set (its root id) and
+    its distance from the end of that set's child list.
+    """
+    parent = list(range(count))
+    tail = list(range(count))
+    after = [-1] * count
+    for p, q in zip(us.tolist(), vs.tolist()):
+        while parent[p] != p:  # find, with path halving
+            parent[p] = p = parent[parent[p]]
+        while parent[q] != q:
+            parent[q] = q = parent[parent[q]]
+        after[tail[p]] = q
+        tail[p] = tail[q]
+        parent[q] = p
+    nxt = np.array(after)
+    dist = (nxt >= 0).astype(np.int64)
+    more = np.flatnonzero(nxt >= 0)
+    while more.size:  # list ranking by pointer jumping
+        dist[more] += dist[nxt[more]]
+        nxt[more] = nxt[nxt[more]]
+        more = more[nxt[more] >= 0]
+    return _pointer_jump(np.array(parent)), dist
+
+
+def _exclusive_offsets(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Per-group exclusive prefix sums of ``values`` (groups begin at
+    ``starts``, contiguous)."""
+    sums = np.cumsum(values) - values
+    lengths = np.diff(np.append(starts, len(values)))
+    return sums - np.repeat(sums[starts], lengths)
+
+
+def _tree_columns(
+    m: int, a: np.ndarray, b: np.ndarray, w: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Preorder columns of the dendrogram forest of an edge-column graph.
+
+    Vertices are ``0..m-1``; ``a < b`` are edge endpoints sorted by the
+    ``(a, b)`` key, ``w`` their weights.  Node ids: leaves are the
+    vertices, internal nodes follow in creation order (so a child's id
+    is always below its parent's).  Returns, over all nodes in global
+    preorder (components contiguous, ordered by smallest vertex):
+    ``parent`` (component-local, -1 at roots), ``weight``, ``size`` and
+    ``leaf_lo`` (component-local) plus the global ``leaf_at``; over leaf
+    positions, ``leaf_vertex`` and its component-local ``leaf_node``;
+    per component, ``node_start``/``node_count`` and
+    ``leaf_start``/``leaf_count``; and ``forest``, the constrained
+    Kruskal forest's edge indices in acceptance order.
+    """
+    levels, level_of = np.unique(w, return_inverse=True)
+    order = np.argsort(level_of, kind="stable")
+    bounds = np.searchsorted(level_of[order], np.arange(len(levels) + 1))
+    capacity = max(2 * m - 1, 0)
+    parent = np.full(capacity, -1, dtype=np.int64)
+    weight = np.zeros(capacity)
+    leaves = np.ones(capacity, dtype=np.int64)
+    nodes = np.ones(capacity, dtype=np.int64)
+    leaf_off = np.zeros(capacity, dtype=np.int64)
+    node_off = np.zeros(capacity, dtype=np.int64)
+    label = np.arange(m)  # pre-level component label of every vertex
+    node_of = np.arange(m)  # label -> the node of its component
+    created = m
+    merged_levels: list[np.ndarray] = []
+    forest: list[np.ndarray] = []
+    for level in range(len(levels)):
+        edges = order[bounds[level] : bounds[level + 1]]
+        x, y = label[a[edges]], label[b[edges]]
+        cross = x != y
+        edges, x, y = edges[cross], x[cross], y[cross]
+        if not edges.size:
+            continue
+        merging, rep = _spanning_forest(x, y, m)
+        kept, _ = _spanning_forest(x[::-1], y[::-1], m)
+        forest.append(edges[::-1][kept])
+        mx, my = x[merging], y[merging]
+        comps, compact = np.unique(np.concatenate((mx, my)), return_inverse=True)
+        root, dist = _concatenation_order(
+            compact[: len(mx)], compact[len(mx) :], len(comps)
+        )
+        seq = np.lexsort((-dist, root))
+        children = node_of[comps[seq]]
+        starts = np.flatnonzero(np.diff(root[seq], prepend=-1))
+        new = np.arange(created, created + len(starts))
+        created += len(starts)
+        parent[children] = np.repeat(new, np.diff(np.append(starts, len(seq))))
+        leaf_off[children] = _exclusive_offsets(leaves[children], starts)
+        node_off[children] = _exclusive_offsets(nodes[children], starts)
+        leaves[new] = np.add.reduceat(leaves[children], starts)
+        nodes[new] = np.add.reduceat(nodes[children], starts) + 1
+        weight[new] = levels[level]
+        node_of[rep[comps[seq[starts]]]] = new
+        label = rep[label]
+        merged_levels.append(children)
+    finals, smallest = np.unique(label, return_index=True)
+    roots = node_of[finals[np.argsort(smallest)]]
+
+    # Top-down: preorder index and first leaf position of every node.
+    pre = np.zeros(created, dtype=np.int64)
+    lo = np.zeros(created, dtype=np.int64)
+    pre[roots] = np.cumsum(nodes[roots]) - nodes[roots]
+    lo[roots] = np.cumsum(leaves[roots]) - leaves[roots]
+    for children in reversed(merged_levels):
+        pre[children] = pre[parent[children]] + 1 + node_off[children]
+        lo[children] = lo[parent[children]] + leaf_off[children]
+    at = np.empty(created, dtype=np.int64)
+    at[pre] = np.arange(created)
+    node_start, node_count = pre[roots], nodes[roots]
+    leaf_start, leaf_count = lo[roots], leaves[roots]
+    node_base = np.repeat(node_start, node_count)
+    par = parent[at]
+    local_parent = np.where(par >= 0, pre[np.maximum(par, 0)] - node_base, -1)
+    leaf_vertex = np.empty(m, dtype=np.int64)
+    leaf_vertex[lo[:m]] = np.arange(m)
+    return {
+        "parent": local_parent,
+        "weight": weight[at],
+        "size": leaves[at],
+        "leaf_at": lo[at],
+        "leaf_lo": lo[at] - np.repeat(leaf_start, node_count),
+        "leaf_vertex": leaf_vertex,
+        "leaf_node": pre[leaf_vertex] - np.repeat(node_start, leaf_count),
+        "node_start": node_start,
+        "node_count": node_count,
+        "leaf_start": leaf_start,
+        "leaf_count": leaf_count,
+        "forest": (
+            np.concatenate(forest) if forest else np.zeros(0, dtype=np.int64)
+        ),
+    }
 
 
 class _ComponentTree:
@@ -96,50 +328,6 @@ class _ComponentTree:
         "refine_memo",
     )
 
-    def __init__(self, root: DendrogramNode) -> None:
-        self.parent: list[int] = []
-        self.weight: list[float] = []
-        self.size: list[int] = []
-        self.children: list[list[int]] = []
-        self.leaf_lo: list[int] = []
-        self.leaf_hi: list[int] = []
-        self.leaf_order: list[int] = []
-        self.leaf_node: dict[int, int] = {}
-        stack: list[tuple[DendrogramNode, int]] = [(root, -1)]
-        while stack:
-            dnode, par = stack.pop()
-            index = len(self.parent)
-            self.parent.append(par)
-            self.weight.append(dnode.merge_weight)
-            self.size.append(dnode.size)
-            # Preorder: every leaf preceding this subtree is already
-            # emitted, and the subtree will emit exactly ``size`` more.
-            lo = len(self.leaf_order)
-            self.leaf_lo.append(lo)
-            self.leaf_hi.append(lo + dnode.size)
-            self.children.append([])
-            if par >= 0:
-                self.children[par].append(index)
-            if dnode.vertex is not None:
-                self.leaf_order.append(dnode.vertex)
-                self.leaf_node[dnode.vertex] = index
-            else:
-                for child in reversed(dnode.children):
-                    stack.append((child, index))
-        self.marked_below: list[int] = [0] * len(self.parent)
-        #: k -> node indices of the strict Algorithm 1 cut.
-        self.cut_memo: dict[int, list[int]] = {}
-        #: k -> per-node "every ancestor's off-path siblings are >= k".
-        self.anc_ok_memo: dict[int, list[bool]] = {}
-        #: (node, k, method) -> step-3 partition clusters, in order.
-        self.partition_memo: dict[
-            tuple[int, int, str], tuple[frozenset[int], ...]
-        ] = {}
-        #: (cut-piece node, k) -> its greedy refinement, in order.  Cut
-        #: pieces are tree nodes shared by every ancestor's partition,
-        #: so this memo dedupes across overlapping node partitions.
-        self.refine_memo: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
-
     @classmethod
     def _from_arrays(
         cls,
@@ -148,39 +336,41 @@ class _ComponentTree:
         size: list[int],
         leaf_lo: list[int],
         leaf_order: list[int],
+        leaf_nodes: list[int],
+        marked_below: list[int],
     ) -> "_ComponentTree":
-        """Rebuild a component tree from its persisted preorder arrays.
+        """A component tree from its preorder columns (adopted, not copied).
 
-        Only the five stored columns are primary; everything else is
-        re-derived from the preorder layout: children are the nodes
-        naming ``i`` as parent in ascending index (the append order of
-        ``__init__``), ``leaf_hi = leaf_lo + size``, and the j-th
-        childless node in preorder owns ``leaf_order[j]`` (leaves are
-        emitted in preorder).  Memos start empty — they are caches — and
-        marked counters start at zero for the caller to re-derive.
+        ``leaf_nodes[j]`` is the node index of ``leaf_order[j]``.  The
+        rest is derived from the preorder layout: children are the nodes
+        naming ``i`` as parent in ascending index (visit order), and
+        ``leaf_hi = leaf_lo + size``.  Memos start empty.
         """
         tree = cls.__new__(cls)
-        tree.parent = list(parent)
-        tree.weight = list(weight)
-        tree.size = list(size)
-        tree.leaf_lo = list(leaf_lo)
-        tree.leaf_hi = [lo + sz for lo, sz in zip(leaf_lo, size)]
-        tree.leaf_order = list(leaf_order)
-        tree.children = [[] for _ in tree.parent]
-        for index, par in enumerate(tree.parent):
-            if par >= 0:
-                tree.children[par].append(index)
-        tree.leaf_node = {}
-        position = 0
-        for index, kids in enumerate(tree.children):
-            if not kids:
-                tree.leaf_node[tree.leaf_order[position]] = index
-                position += 1
-        tree.marked_below = [0] * len(tree.parent)
-        tree.cut_memo = {}
-        tree.anc_ok_memo = {}
-        tree.partition_memo = {}
-        tree.refine_memo = {}
+        tree.parent = parent
+        tree.weight = weight
+        tree.size = size
+        tree.leaf_lo = leaf_lo
+        tree.leaf_hi = list(map(add, leaf_lo, size))
+        tree.leaf_order = leaf_order
+        children: list[list[int]] = [[] for _ in parent]
+        for index in range(1, len(parent)):  # node 0 is the root
+            children[parent[index]].append(index)
+        tree.children = children
+        tree.leaf_node = dict(zip(leaf_order, leaf_nodes))
+        tree.marked_below = marked_below
+        #: k -> node indices of the strict Algorithm 1 cut.
+        tree.cut_memo: dict[int, list[int]] = {}
+        #: k -> per-node "every ancestor's off-path siblings are >= k".
+        tree.anc_ok_memo: dict[int, list[bool]] = {}
+        #: (node, k, method) -> step-3 partition clusters, in order.
+        tree.partition_memo: dict[
+            tuple[int, int, str], tuple[frozenset[int], ...]
+        ] = {}
+        #: (cut-piece node, k) -> its greedy refinement, in order.  Cut
+        #: pieces are tree nodes shared by every ancestor's partition,
+        #: so this memo dedupes across overlapping node partitions.
+        tree.refine_memo: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
         return tree
 
     def leaves(self, index: int) -> list[int]:
@@ -241,9 +431,9 @@ class ClusterTree:
     """Bottleneck cluster tree of ``graph`` (see module docstring).
 
     The tree keeps a reference to ``graph`` — the same live object the
-    engine patches in place under churn — and uses it only for the
-    memoized per-node partitions and for :meth:`apply_patch`'s closure
-    walk, never for per-vertex lookups.
+    engine patches in place under churn — and reads it only for its
+    edge columns at construction and, in :meth:`apply_patch`, for the
+    new weights of the changed edges.
     """
 
     def __init__(self, graph: WeightedProximityGraph) -> None:
@@ -253,41 +443,111 @@ class ClusterTree:
         self._next_id = 0
         self._marked: set[int] = set()
         self._forest_adj: dict[int, list[tuple[int, float]]] = {}
-        for root in single_linkage_dendrogram(graph):
-            self._adopt(_ComponentTree(root))
-        self._rebuild_forest(graph)
+        ids, us, vs, ws = graph.edge_columns()
+        #: Vertex ids ascending; edges are keyed by dense index a * n + b.
+        self._ids = ids
+        self._keys = self._index(us) * len(ids) + self._index(vs)
+        self._weights = ws
+        #: The component id of every dense index (the array twin of
+        #: ``_component_of``, for the patch path).
+        self._component = np.zeros(len(ids), dtype=np.int64)
+        self._build(np.arange(len(ids)))
 
-    def _adopt(self, tree: _ComponentTree) -> None:
-        comp_id = self._next_id
-        self._next_id += 1
-        self._components[comp_id] = tree
-        for vertex in tree.leaf_order:
-            self._component_of[vertex] = comp_id
+    def _index(self, vertices: np.ndarray) -> np.ndarray:
+        """Dense indices of vertex ids (GraphError for unknown ids)."""
+        index = np.searchsorted(self._ids, vertices)
+        if len(vertices) and (
+            index.max() >= len(self._ids)
+            or not np.array_equal(self._ids[index], vertices)
+        ):
+            raise GraphError("unknown vertex in cluster-tree edges")
+        return index
 
-    def _rebuild_forest(self, scope_graph: WeightedProximityGraph) -> None:
-        """(Re)compute the constrained Kruskal forest over ``scope_graph``.
+    def _build(self, scope: np.ndarray) -> None:
+        """Lay out the component trees and forest slice over ``scope``.
 
-        Edges are scanned ascending by weight with the *descending*
-        ``(u, v)`` key as tie-break — the exact reverse of the greedy
-        removal order (descending weight, ascending key) — and accepted
-        when they join two sets.  An edge is therefore in the forest iff
-        no cycle through it survives on edges strictly later in removal
-        order, which is the certificate :meth:`node_partition` needs.
-        The forest never crosses components, so rebuilding a patch scope
-        leaves every other component's entries exact.
+        ``scope`` holds ascending dense vertex indices and is closed
+        under edges (it is a union of whole components).  New components
+        are adopted in ascending smallest-vertex order.
         """
-        for vertex in scope_graph.vertices():
-            self._forest_adj[vertex] = []
-        forest = UnionFind(scope_graph.vertices())
-        edges = sorted(
-            scope_graph.edges(),
-            key=lambda edge: (edge.weight, -edge.u, -edge.v),
+        n, m = len(self._ids), len(scope)
+        if m == n:
+            a, b = np.divmod(self._keys, max(n, 1))
+            w = self._weights
+        else:
+            inside = np.zeros(n, dtype=bool)
+            inside[scope] = True
+            a = self._keys // n
+            chosen = np.flatnonzero(inside[a])
+            local = np.zeros(n, dtype=np.int64)
+            local[scope] = np.arange(m)
+            a = local[a[chosen]]
+            b = local[self._keys[chosen] % n]
+            w = self._weights[chosen]
+        vertex = self._ids[scope]
+        cols = _tree_columns(m, a, b, w)
+
+        # Marked counters: prefix sums of the marked flags in leaf order.
+        leaf_ids = vertex[cols["leaf_vertex"]]
+        flags = np.isin(
+            leaf_ids,
+            np.fromiter(self._marked, dtype=np.int64, count=len(self._marked)),
         )
-        for edge in edges:
-            if forest.find(edge.u) != forest.find(edge.v):
-                forest.union(edge.u, edge.v)
-                self._forest_adj[edge.u].append((edge.v, edge.weight))
-                self._forest_adj[edge.v].append((edge.u, edge.weight))
+        prefix = np.concatenate(([0], np.cumsum(flags)))
+        at = cols["leaf_at"]
+        marked = (prefix[at + cols["size"]] - prefix[at]).tolist()
+
+        parent = cols["parent"].tolist()
+        weight = cols["weight"].tolist()
+        size = cols["size"].tolist()
+        leaf_lo = cols["leaf_lo"].tolist()
+        leaf_order = leaf_ids.tolist()
+        leaf_node = cols["leaf_node"].tolist()
+        first_id = self._next_id
+        for lo, count, leaf_start, leaf_count in zip(
+            cols["node_start"].tolist(),
+            cols["node_count"].tolist(),
+            cols["leaf_start"].tolist(),
+            cols["leaf_count"].tolist(),
+        ):
+            hi, leaf_end = lo + count, leaf_start + leaf_count
+            self._components[self._next_id] = _ComponentTree._from_arrays(
+                parent[lo:hi],
+                weight[lo:hi],
+                size[lo:hi],
+                leaf_lo[lo:hi],
+                leaf_order[leaf_start:leaf_end],
+                leaf_node[leaf_start:leaf_end],
+                marked[lo:hi],
+            )
+            self._next_id += 1
+        comp_ids = np.repeat(
+            np.arange(first_id, self._next_id), cols["leaf_count"]
+        )
+        self._component[scope[cols["leaf_vertex"]]] = comp_ids
+        self._component_of.update(zip(leaf_order, comp_ids.tolist()))
+
+        # The forest slice: every scope vertex's accepted edges, in
+        # acceptance order (ascending weight, descending key).
+        forest = cols["forest"]
+        ends = np.concatenate((a[forest], b[forest]))
+        others = np.concatenate((b[forest], a[forest]))
+        rank = np.tile(np.arange(len(forest)), 2)
+        grouped = np.lexsort((rank, ends))
+        degree = np.bincount(ends, minlength=m).tolist()
+        targets = iter(vertex[others[grouped]].tolist())
+        weights = iter(np.tile(w[forest], 2)[grouped].tolist())
+        # Every old list is freed before the first new one is made.
+        # Replacing entries one by one would recycle each freed list and
+        # tuple through CPython's free lists, which bypass the allocation
+        # count that schedules garbage collection: ~10^5 new objects
+        # would then wait in the youngest generation for a later request
+        # to pay for collecting them.
+        adjacency = self._forest_adj
+        scope_ids = vertex.tolist()
+        adjacency.update(dict.fromkeys(scope_ids))
+        for v, count in zip(scope_ids, degree):
+            adjacency[v] = list(zip(islice(targets, count), islice(weights, count)))
 
     def _forest_refine(self, leaves: list[int], k: int) -> list[set[int]]:
         """Greedy refinement of a tree node's leaves over its forest slice.
@@ -635,146 +895,48 @@ class ClusterTree:
     def apply_patch(self, patch: "ChurnPatch") -> int:
         """Re-derive exactly the components a churn patch disturbed.
 
-        Every structural change is one of ``patch.changed_edges``; an
-        old component not incident to any of them kept all its edges and
-        weights, so its tree (and memos) remain exact.  The rebuild
-        scope starts from the incident components and closes over the
-        patched graph: a walk that escapes the scope entered a component
-        merged in by an added edge, whose tree must be re-derived too.
-        Returns the number of old components rebuilt.  After the call
-        the forest equals a fresh build over the patched graph.
+        The edge columns take every changed edge's new weight from the
+        live graph (no edge: dropped).  An old component not incident to
+        a changed edge kept all its edges and weights, so its tree (and
+        memos) remain exact; the old components that are incident are
+        rebuilt together, and since a changed edge has both endpoints
+        among them, nothing outside them can merge in.  Returns the
+        number of old components rebuilt.  After the call the forest
+        equals a fresh build over the patched graph.
         """
         edges = getattr(patch, "changed_edges", ())
-        seeds = {v for edge in edges for v in edge if v in self._component_of}
-        if not seeds:
+        if not edges:
             return 0
-        stale = {self._component_of[v] for v in seeds}
-        scope: set[int] = set()
-        for comp_id in stale:
-            scope.update(self._components[comp_id].leaf_order)
-        queue = list(scope)
-        while queue:
-            vertex = queue.pop()
-            for neighbor in self._graph.neighbors(vertex):
-                if neighbor in scope:
-                    continue
-                # The walk crossed into a component merged by an added
-                # edge: absorb it wholesale (unaffected internally, so
-                # it is fully reachable once entered).
-                merged = self._component_of[neighbor]
-                if merged not in stale:
-                    stale.add(merged)
-                    members = self._components[merged].leaf_order
-                    scope.update(members)
-                    queue.extend(members)
-                else:  # pragma: no cover - scope always holds stale leaves
-                    scope.add(neighbor)
-                    queue.append(neighbor)
-        for comp_id in stale:
+        pairs = np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges))
+        ends = self._index(pairs)
+        n = len(self._ids)
+        changed = np.sort(ends[0::2] * n + ends[1::2])
+        keys, weights = self._keys, self._weights
+        at = np.searchsorted(keys, changed)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == changed[hit]
+        keep = np.ones(len(keys), dtype=bool)
+        keep[at[hit]] = False
+        keys, weights = keys[keep], weights[keep]
+        lo, hi = np.divmod(changed, n)
+        new = self._graph.edge_weights(
+            self._ids[lo].tolist(), self._ids[hi].tolist()
+        )
+        present = np.array([w is not None for w in new], dtype=bool)
+        if present.any():
+            add = changed[present]
+            at = np.searchsorted(keys, add)
+            keys = np.insert(keys, at, add)
+            weights = np.insert(
+                weights, at, [w for w in new if w is not None]
+            )
+        self._keys, self._weights = keys, weights
+
+        stale = np.unique(self._component[ends])
+        for comp_id in stale.tolist():
             del self._components[comp_id]
-        scope_graph = self._graph.subgraph(scope)
-        for root in single_linkage_dendrogram(scope_graph):
-            self._adopt(_ComponentTree(root))
-        # The Kruskal forest never crosses components, so the rebuilt
-        # scope's slice is recomputed in isolation too.
-        self._rebuild_forest(scope_graph)
-        # Re-derive the marked counters of the rebuilt components.
-        remark = self._marked & scope
-        self._marked -= remark
-        self.mark(remark)
+        self._build(np.flatnonzero(np.isin(self._component, stale)))
         return len(stale)
-
-    # -- persistence -----------------------------------------------------------
-
-    def to_state(self) -> dict[str, list]:
-        """The forest as flat columns (see :meth:`from_state`).
-
-        Components are emitted in dict-iteration order with their
-        original ids — both are observable (``strict_partition`` walks
-        components in insertion order; node handles embed ids), so a
-        restored tree must reproduce them exactly, not just the node
-        sets.  Per-component node columns are concatenated with a
-        ``node_indptr`` offset table; leaf columns concatenate too, with
-        each component's leaf count recoverable as its root's size.
-        """
-        comp_ids: list[int] = []
-        node_indptr: list[int] = [0]
-        parent: list[int] = []
-        weight: list[float] = []
-        size: list[int] = []
-        leaf_lo: list[int] = []
-        leaf_order: list[int] = []
-        for comp_id, tree in self._components.items():
-            comp_ids.append(comp_id)
-            parent.extend(tree.parent)
-            weight.extend(tree.weight)
-            size.extend(tree.size)
-            leaf_lo.extend(tree.leaf_lo)
-            leaf_order.extend(tree.leaf_order)
-            node_indptr.append(len(parent))
-        return {
-            "comp_ids": comp_ids,
-            "node_indptr": node_indptr,
-            "parent": parent,
-            "weight": weight,
-            "size": size,
-            "leaf_lo": leaf_lo,
-            "leaf_order": leaf_order,
-            "next_id": [self._next_id],
-        }
-
-    @classmethod
-    def from_state(
-        cls, graph: WeightedProximityGraph, state: dict[str, list]
-    ) -> "ClusterTree":
-        """Rebuild a tree captured by :meth:`to_state` over ``graph``.
-
-        ``graph`` must be the graph the state was captured against (the
-        restored engine's live graph).  The constrained Kruskal forest
-        is recomputed from the graph value — a global ascending scan
-        restricted to any component visits its edges in the same
-        relative order as the per-scope scans of incremental patching,
-        so the rebuilt forest matches the maintained one.  Marked
-        counters start empty; callers holding a registry re-mark via
-        :meth:`mark` (which skips already-marked vertices, so the
-        re-mark is idempotent).
-        """
-        tree = cls.__new__(cls)
-        tree._graph = graph
-        tree._components = {}
-        tree._component_of = {}
-        tree._marked = set()
-        tree._forest_adj = {}
-        comp_ids = [int(c) for c in state["comp_ids"]]
-        indptr = [int(i) for i in state["node_indptr"]]
-        if len(indptr) != len(comp_ids) + 1:
-            raise GraphError(
-                f"cluster-tree state: {len(comp_ids)} components but "
-                f"{len(indptr)} node offsets"
-            )
-        parent = [int(p) for p in state["parent"]]
-        weight = [float(w) for w in state["weight"]]
-        size = [int(s) for s in state["size"]]
-        leaf_lo = [int(lo) for lo in state["leaf_lo"]]
-        leaf_order = [int(v) for v in state["leaf_order"]]
-        leaf_cursor = 0
-        for position, comp_id in enumerate(comp_ids):
-            lo, hi = indptr[position], indptr[position + 1]
-            leaf_count = size[lo] if hi > lo else 0
-            component = _ComponentTree._from_arrays(
-                parent[lo:hi],
-                weight[lo:hi],
-                size[lo:hi],
-                leaf_lo[lo:hi],
-                leaf_order[leaf_cursor : leaf_cursor + leaf_count],
-            )
-            leaf_cursor += leaf_count
-            tree._components[comp_id] = component
-            for vertex in component.leaf_order:
-                tree._component_of[vertex] = comp_id
-        tree._next_id = int(state["next_id"][0])
-        tree._rebuild_forest(graph)
-        return tree
 
     # -- verification helpers --------------------------------------------------
 
@@ -789,3 +951,18 @@ class ClusterTree:
                     tree.size[index],
                     tuple(sorted(tree.leaves(index))),
                 )
+
+    def component_columns(
+        self,
+    ) -> Iterator[tuple[list[int], list[float], list[int], list[int], list[int]]]:
+        """``(parent, weight, size, leaf_lo, leaf_order)`` of every
+        component tree: the exact preorder layout, child order included,
+        which :func:`repro.verify.oracles.oracle_tree_columns` rebuilds
+        from the dendrogram."""
+        for tree in self._components.values():
+            yield tree.parent, tree.weight, tree.size, tree.leaf_lo, tree.leaf_order
+
+    def forest_neighbors(self, vertex: int) -> list[tuple[int, float]]:
+        """``vertex``'s constrained Kruskal forest edges as ``(neighbor,
+        weight)``, in acceptance order."""
+        return list(self._forest_adj[vertex])

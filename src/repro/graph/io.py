@@ -101,11 +101,7 @@ def graph_to_arrays(
     are the edge columns sorted by canonical ``(u, v)`` key.  Weights
     round-trip bit for bit (binary64 in, binary64 out).
     """
-    vertices = np.array(sorted(graph.vertices()), dtype=np.int64)
-    edges = sorted(graph.edges(), key=lambda e: e.key())
-    us = np.array([e.u for e in edges], dtype=np.int64)
-    vs = np.array([e.v for e in edges], dtype=np.int64)
-    ws = np.array([e.weight for e in edges], dtype=float)
+    vertices, us, vs, ws = graph.edge_columns()
     return {"vertices": vertices, "us": us, "vs": vs, "ws": ws}
 
 

@@ -10,7 +10,7 @@ operates on proximity alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -249,6 +249,34 @@ class WeightedProximityGraph:
                 if u < v:
                     yield Edge(u, v, weight)
 
+    def edge_columns(
+        self,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(vertices, us, vs, ws)`` as numpy columns.
+
+        ``vertices`` lists every vertex id ascending; ``us``/``vs``/``ws``
+        hold each edge once with ``u < v``, sorted by the canonical
+        ``(u, v)`` key.  Graphs still in :meth:`from_arrays` form are
+        read without boxing their adjacency.
+        """
+        if self._pending is not None:
+            degrees, tgts, ws = self._pending
+            vertices = np.arange(len(degrees), dtype=np.int64)
+        else:
+            adj = self._adj
+            vertices = np.fromiter(adj, dtype=np.int64, count=len(adj))
+            degrees = np.fromiter(map(len, adj.values()), np.int64, len(adj))
+            total = int(degrees.sum())
+            tgts = np.fromiter(chain.from_iterable(adj.values()), np.int64, total)
+            ws = np.fromiter(
+                chain.from_iterable(map(dict.values, adj.values())), float, total
+            )
+        srcs = np.repeat(vertices, degrees)
+        keep = srcs < tgts
+        us, vs, ws = srcs[keep], tgts[keep], ws[keep]
+        order = np.lexsort((vs, us))
+        return np.sort(vertices), us[order], vs[order], ws[order]
+
     def has_edge(self, u: int, v: int) -> bool:
         """True if the edge ``(u, v)`` exists."""
         return v in self._adjacency.get(u, {})
@@ -259,6 +287,14 @@ class WeightedProximityGraph:
             return self._adjacency[u][v]
         except KeyError as exc:
             raise GraphError(f"no edge ({u}, {v})") from exc
+
+    def edge_weights(
+        self, us: Iterable[int], vs: Iterable[int]
+    ) -> list[float | None]:
+        """The weight of each ``(u, v)`` pair, ``None`` where no edge is."""
+        adj = self._adjacency
+        empty: dict[int, float] = {}
+        return [adj.get(u, empty).get(v) for u, v in zip(us, vs)]
 
     def neighbors(self, vertex: int) -> Iterator[int]:
         """Neighbors of ``vertex``; unknown vertices raise :class:`GraphError`."""

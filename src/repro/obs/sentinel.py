@@ -95,6 +95,9 @@ TRACKED: dict[str, tuple[TrackedMetric, ...]] = {
             False,
         ),
         TrackedMetric("tree.request_speedup", ("tree", "request_speedup"), True),
+        TrackedMetric(
+            "tree.moves_per_second", ("tree", "moves_per_second"), True
+        ),
     ),
     "bench_persist/v1": (
         TrackedMetric("snapshot.seconds", ("snapshot", "seconds"), False),

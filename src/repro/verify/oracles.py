@@ -15,7 +15,11 @@ implementation under test:
   subset containing the host (the minimum-MEW k-cluster problem solved
   by exhaustion, exact for components up to :data:`ORACLE_MAX_VERTICES`);
 * :func:`oracle_isolation_violations` — Property 4.1 checked vertex by
-  vertex with the level-scan rule before/after cluster removal.
+  vertex with the level-scan rule before/after cluster removal;
+* :func:`oracle_tree_columns` / :func:`oracle_kruskal_forest` — the
+  cluster tree's exact layout, by a preorder walk of
+  :func:`~repro.graph.dendrogram.single_linkage_dendrogram` and a
+  sequential constrained Kruskal scan over ``Edge`` objects.
 
 The subset enumeration is exponential by design — it is only *correct*,
 never fast.  Asking it about a component larger than
@@ -32,6 +36,8 @@ from typing import Container, Iterable, Optional, Sequence
 from repro.errors import VerificationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
+from repro.graph.dendrogram import single_linkage_dendrogram
+from repro.graph.unionfind import UnionFind
 from repro.graph.wpg import WeightedProximityGraph
 
 #: Hard cap on the component size the exponential oracles accept.  2^12
@@ -221,3 +227,56 @@ def oracle_isolation_violations(
         if before_set != after_set:
             violations.append(vertex)
     return violations
+
+
+def oracle_tree_columns(
+    graph: WeightedProximityGraph,
+) -> list[tuple[list[int], list[float], list[int], list[int], list[int]]]:
+    """``(parent, weight, size, leaf_lo, leaf_order)`` per dendrogram root.
+
+    The preorder layout :meth:`ClusterTree.component_columns` must
+    reproduce, child order included: a stack walk of each
+    :func:`single_linkage_dendrogram` root that visits children in list
+    order, numbering nodes as they are popped.
+    """
+    columns = []
+    for root in single_linkage_dendrogram(graph):
+        parent: list[int] = []
+        weight: list[float] = []
+        size: list[int] = []
+        leaf_lo: list[int] = []
+        leaf_order: list[int] = []
+        stack = [(root, -1)]
+        while stack:
+            node, par = stack.pop()
+            index = len(parent)
+            parent.append(par)
+            weight.append(node.merge_weight)
+            size.append(node.size)
+            leaf_lo.append(len(leaf_order))
+            if node.vertex is not None:
+                leaf_order.append(node.vertex)
+            else:
+                stack.extend((child, index) for child in reversed(node.children))
+        columns.append((parent, weight, size, leaf_lo, leaf_order))
+    return columns
+
+
+def oracle_kruskal_forest(
+    graph: WeightedProximityGraph,
+) -> dict[int, list[tuple[int, float]]]:
+    """The constrained Kruskal forest as per-vertex adjacency lists.
+
+    Edges scanned ascending by weight, descending ``(u, v)`` key, each
+    accepted when it joins two sets and appended to both endpoints'
+    lists in acceptance order.
+    """
+    adjacency: dict[int, list[tuple[int, float]]] = {
+        vertex: [] for vertex in graph.vertices()
+    }
+    forest = UnionFind(graph.vertices())
+    for edge in sorted(graph.edges(), key=lambda e: (e.weight, -e.u, -e.v)):
+        if forest.union(edge.u, edge.v):
+            adjacency[edge.u].append((edge.v, edge.weight))
+            adjacency[edge.v].append((edge.u, edge.weight))
+    return adjacency

@@ -25,7 +25,9 @@ from repro.graph.wpg import WeightedProximityGraph
 from repro.spatial.grid import GridIndex
 from repro.verify.oracles import (
     oracle_isolation_violations,
+    oracle_kruskal_forest,
     oracle_smallest_cluster,
+    oracle_tree_columns,
 )
 
 
@@ -221,3 +223,117 @@ def test_apply_patch_empty_patch_is_a_noop():
     before = _signatures(tree)
     assert tree.apply_patch(runtime.apply_moves([])) == 0
     assert _signatures(tree) == before
+
+
+# -- exact layout: child order, forest order, ordered partitions ---------------
+
+
+def layout_graph(rng: random.Random) -> WeightedProximityGraph:
+    """Sparse ids, isolated vertices, non-consecutive float weights with
+    many equal-weight ties (as in ``two_blobs_graph``)."""
+    n = rng.randint(1, 45)
+    ids = sorted(rng.sample(range(4 * n), n))
+    levels = rng.sample([0.5, 1.0, 2.0, 2.5, 4.0, 9.0, 17.25], rng.randint(1, 4))
+    graph = WeightedProximityGraph()
+    for vertex in ids:
+        graph.add_vertex(vertex)
+    density = rng.uniform(0.02, 0.35)
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            if rng.random() < density:
+                graph.add_edge(u, v, rng.choice(levels))
+    return graph
+
+
+def assert_exact_layout(tree: ClusterTree, graph: WeightedProximityGraph, tag):
+    """Per-component preorder columns and forest adjacency lists equal
+    the dendrogram walk and the sequential constrained Kruskal scan."""
+    ours = sorted(tree.component_columns(), key=lambda cols: min(cols[4]))
+    reference = sorted(oracle_tree_columns(graph), key=lambda cols: min(cols[4]))
+    assert len(ours) == len(reference), tag
+    for got, want in zip(ours, reference):
+        assert tuple(got) == want, tag
+    forest = oracle_kruskal_forest(graph)
+    for vertex in graph.vertices():
+        assert tree.forest_neighbors(vertex) == forest[vertex], (tag, vertex)
+
+
+def assert_ordered_node_partitions(tree: ClusterTree, graph, k: int, tag):
+    """Every >= k node partitions exactly as Algorithm 1 on its leaves,
+    group order included."""
+    for cols in tree.component_columns():
+        root = tree.root_of(cols[4][0])
+        for index, size in enumerate(cols[2]):
+            if size < k:
+                continue
+            node = (root[0], index)
+            leaves = tree.leaves(node)
+            for method in ("strict", "greedy"):
+                direct = centralized_k_clustering(
+                    graph, k, method=method, vertices=leaves
+                ).all_groups()
+                assert list(tree.node_partition(node, k, method)) == [
+                    frozenset(group) for group in direct
+                ], (tag, sorted(leaves)[:6], method)
+
+
+def test_layout_equals_dendrogram_on_random_graphs():
+    for seed in range(120):
+        rng = random.Random(2000 + seed)
+        graph = layout_graph(rng)
+        tree = ClusterTree(graph)
+        assert_exact_layout(tree, graph, seed)
+        assert_ordered_node_partitions(tree, graph, rng.randint(1, 4), seed)
+
+
+def test_two_blobs_layout_is_exact(two_blobs_graph):
+    tree = ClusterTree(two_blobs_graph)
+    assert_exact_layout(tree, two_blobs_graph, "two blobs")
+    assert_ordered_node_partitions(tree, two_blobs_graph, 2, "two blobs")
+
+
+def test_layout_stays_exact_under_churn():
+    for seed in range(10):
+        rng = random.Random(3000 + seed)
+        n = rng.randint(25, 70)
+        dataset = uniform_points(n, seed=40 + seed)
+        delta, max_peers = rng.choice([0.14, 0.2]), rng.choice([3, 5])
+        graph = build_wpg_fast(dataset, delta, max_peers)
+        grid = GridIndex(list(dataset), cell_size=delta)
+        runtime = IncrementalWPG(grid, delta, max_peers, graph=graph)
+        tree = ClusterTree(graph)
+        k = rng.randint(2, 4)
+        for batch in range(5):
+            moves = [
+                (user, Point(rng.random(), rng.random()))
+                for user in rng.sample(range(n), rng.randint(1, 6))
+            ]
+            tree.apply_patch(runtime.apply_moves(moves))
+            assert_exact_layout(tree, graph, (seed, batch))
+            assert_ordered_node_partitions(tree, graph, k, (seed, batch))
+
+
+def test_patch_rebuilds_exactly_the_stale_components():
+    """Untouched component trees survive a patch as the same objects."""
+    rng = random.Random(11)
+    dataset = uniform_points(60, seed=3)
+    graph = build_wpg_fast(dataset, 0.12, 4)
+    grid = GridIndex(list(dataset), cell_size=0.12)
+    runtime = IncrementalWPG(grid, 0.12, 4, graph=graph)
+    tree = ClusterTree(graph)
+    for _batch in range(4):
+        before = dict(tree._components)
+        patch = runtime.apply_moves(
+            [(rng.randrange(60), Point(rng.random(), rng.random()))]
+        )
+        stale = {
+            tree.root_of(vertex)[0]
+            for edge in patch.changed_edges
+            for vertex in edge
+        }
+        assert tree.apply_patch(patch) == len(stale)
+        for comp_id, component in before.items():
+            if comp_id in stale:
+                assert comp_id not in tree._components
+            else:
+                assert tree._components[comp_id] is component

@@ -2,31 +2,26 @@
 
 Hypothesis drives the export/import pairs the snapshot subsystem is
 built from — :meth:`GridIndex.export_arrays` / ``from_export``,
-:meth:`ClusterTree.to_state` / ``from_state``,
 :meth:`IncrementalWPG.export_picks` / ``restore``, and
 :func:`graph_to_arrays` / :func:`graph_from_arrays` — over randomly
 generated worlds (:func:`repro.verify.worlds.world_strategy`), random
 mutation sequences (so id holes from removals and post-churn states are
 covered), and sparse non-dense vertex-id graphs.  Every round trip must
-be an identity, bit for bit: same queries, same signatures, same float
-weights.
+be an identity, bit for bit: same queries, same float weights.
 """
 
 from __future__ import annotations
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.datasets.base import PointDataset
 from repro.errors import ConfigurationError, GraphError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.graph import graph_from_arrays, graph_to_arrays
-from repro.graph.build import build_wpg_fast
-from repro.graph.cluster_tree import ClusterTree
 from repro.graph.incremental import IncrementalWPG
 from repro.spatial.grid import GridIndex
 from repro.verify.invariants import graph_equality_details
-from repro.verify.worlds import build_world, churn_schedule, world_strategy
+from repro.verify.worlds import build_world, world_strategy
 
 import pytest
 
@@ -85,56 +80,6 @@ class TestGridRoundTrip:
         arrays["live"] = arrays["live"][:1]
         with pytest.raises(ConfigurationError):
             GridIndex.from_export(arrays, cell_size=0.2)
-
-
-class TestClusterTreeRoundTrip:
-    @settings(deadline=None, max_examples=40)
-    @given(world_strategy(max_users=30))
-    def test_world_tree_round_trips(self, world):
-        built = build_world(world)
-        graph = built.graph.copy()
-        tree = ClusterTree(graph)
-        state = tree.to_state()
-        clone = ClusterTree.from_state(graph, state)
-        assert sorted(clone.node_signatures()) == sorted(
-            tree.node_signatures()
-        )
-        assert clone.to_state() == state
-
-    @settings(deadline=None, max_examples=20)
-    @given(world_strategy(max_users=30))
-    def test_post_churn_tree_round_trips(self, world):
-        # The churn runtime only adopts graphs from stateless radios.
-        assume(world.radio == "ideal")
-        built = build_world(world)
-        graph = built.graph.copy()
-        tree = ClusterTree(graph)
-        grid = GridIndex(list(built.dataset), cell_size=world.delta)
-        runtime = IncrementalWPG(
-            grid, delta=world.delta, max_peers=world.max_peers, graph=graph
-        )
-        # built.world has n normalised to the realised dataset size.
-        for batch in churn_schedule(built.world):
-            tree.apply_patch(runtime.apply_moves(batch))
-        state = tree.to_state()
-        clone = ClusterTree.from_state(graph, state)
-        assert sorted(clone.node_signatures()) == sorted(
-            tree.node_signatures()
-        )
-        assert clone.to_state() == state
-
-    def test_malformed_state_rejected(self):
-        graph = build_wpg_fast(
-            PointDataset([Point(0.1, 0.1), Point(0.12, 0.1), Point(0.5, 0.5)]),
-            0.1,
-            4,
-        )
-        tree = ClusterTree(graph)
-        state = tree.to_state()
-        bad = dict(state)
-        bad["node_indptr"] = state["node_indptr"][:-1]
-        with pytest.raises(GraphError):
-            ClusterTree.from_state(graph, bad)
 
 
 class TestPicksRoundTrip:

@@ -139,6 +139,53 @@ class TestCrashAtEveryJournalBoundary:
             restored.disable_persistence()
 
 
+class TestOlderSnapshots:
+    def test_tree_columns_of_older_snapshots_are_ignored(self, tmp_path):
+        """Snapshots once stored the cluster tree as ``tree_*`` columns.
+        The tree is derived from the graph, so a restore ignores them:
+        with or without them the restored engines are identical."""
+        import numpy as np
+
+        live = make_engine(clustering="tree")
+        hosts = list(range(0, USERS, 5))
+        serve(live, hosts)
+        for batch in make_batches(count=2):
+            live.apply_moves(batch)
+        arrays, meta = live.snapshot_state()
+        assert not any(key.startswith("tree_") for key in arrays)
+        # The column layout older snapshots carried, one entry per
+        # component tree.
+        columns = list(live.clustering.tree.component_columns())
+        legacy = {
+            "comp_ids": range(len(columns)),
+            "node_indptr": np.cumsum([0] + [len(c[0]) for c in columns]),
+            "parent": [p for c in columns for p in c[0]],
+            "weight": [w for c in columns for w in c[1]],
+            "size": [z for c in columns for z in c[2]],
+            "leaf_lo": [lo for c in columns for lo in c[3]],
+            "leaf_order": [v for c in columns for v in c[4]],
+            "next_id": [len(columns)],
+        }
+        older = dict(arrays)
+        for key, value in legacy.items():
+            dtype = float if key == "weight" else np.int64
+            older[f"tree_{key}"] = np.asarray(list(value), dtype=dtype)
+        PersistentStore(tmp_path / "new").checkpoint(0, arrays, meta)
+        PersistentStore(tmp_path / "old").checkpoint(0, older, meta)
+
+        restored = CloakingEngine.restore(PersistentStore(tmp_path / "new"))
+        from_older = CloakingEngine.restore(PersistentStore(tmp_path / "old"))
+        assert_engines_equal(from_older, restored)
+        assert_engines_equal(from_older, live)
+        for batch in make_batches(count=2, movers=5):
+            restored.apply_moves(batch)
+            from_older.apply_moves(batch)
+        assert serve(from_older, range(USERS)) == serve(restored, range(USERS))
+        assert_engines_equal(from_older, restored)
+        restored.disable_persistence()
+        from_older.disable_persistence()
+
+
 class TestTornTail:
     def _persisted_store(self, tmp_path, batches):
         """A store holding a checkpoint + every batch in the journal."""
