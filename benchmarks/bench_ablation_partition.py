@@ -2,7 +2,8 @@
 
 Two design decisions DESIGN.md calls out:
 
-* the dendrogram cut vs the naive literal edge-removal translation
+* the cluster-tree kernel (``strict_partition``) vs the literal
+  edge-removal translation kept in :mod:`repro.verify.oracles`
   (identical output, asymptotically cheaper);
 * strict t-component semantics vs the greedy edge-skip fixpoint (the
   straggler effect: strict freezes large components, greedy carves them
@@ -10,6 +11,7 @@ Two design decisions DESIGN.md calls out:
 """
 
 import statistics
+import time
 
 from conftest import record
 
@@ -17,6 +19,7 @@ from repro.analysis.reporting import format_table
 from repro.clustering.centralized import greedy_partition, strict_partition
 from repro.datasets import california_like_poi
 from repro.graph.build import build_wpg
+from repro.verify.oracles import oracle_strict_partition
 
 USERS = 4000
 K = 10
@@ -27,15 +30,27 @@ def _graph():
     return build_wpg(dataset, delta=2e-3 * (104770 / USERS) ** 0.5, max_peers=10)
 
 
-def test_dendrogram_vs_naive_strict(benchmark, results_dir):
+def test_kernel_vs_literal_strict(benchmark, results_dir):
     graph = _graph()
-    fast = benchmark.pedantic(
-        strict_partition, args=(graph, K), kwargs={"naive": False},
-        rounds=3, iterations=1,
+    kernel = benchmark.pedantic(
+        strict_partition, args=(graph, K), rounds=3, iterations=1
     )
-    naive = strict_partition(graph, K, naive=True)
-    assert sorted(sorted(c) for c in fast.clusters) == sorted(
-        sorted(c) for c in naive.clusters
+    start = time.perf_counter()
+    strict_partition(graph, K)
+    kernel_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    literal = oracle_strict_partition(graph, K)
+    literal_seconds = time.perf_counter() - start
+    table = format_table(
+        ["strict partition", "seconds"],
+        [
+            ["cluster tree (strict_partition)", round(kernel_seconds, 4)],
+            ["literal oracle", round(literal_seconds, 4)],
+        ],
+    )
+    record(results_dir, "ablation_partition_kernel_vs_literal", table)
+    assert sorted(sorted(c) for c in kernel.all_groups()) == sorted(
+        sorted(c) for c in literal
     )
 
 

@@ -19,23 +19,24 @@ DESIGN.md, "Partition semantics of Algorithm 1"):
     passes repeat until a fixpoint.  Produces near-k clusters in practice
     and reproduces the paper's measured cluster sizes.
 
-Both have a naive implementation (literal graph surgery, quadratic-ish)
-and a fast implementation (dendrogram cut, plus local refinement for
-greedy).  Naive and fast are cross-validated by the test suite.
+Both are served by one kernel, :class:`~repro.graph.cluster_tree.ClusterTree`:
+the strict partition is its dendrogram cut and the greedy one refines each
+cut piece with a single ordered scan over its constrained Kruskal forest.
+The literal edge-removal translations live in :mod:`repro.verify.oracles`
+as the differential reference; the kernel returns the same groups, and on
+a connected target the same order as the dendrogram cut followed by the
+literal greedy pass.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Literal, Optional
+from typing import Iterable, Literal, Optional
 
 from repro.errors import ConfigurationError
 from repro.clustering.base import Partition
+from repro.graph.cluster_tree import ClusterTree
 from repro.graph.components import connected_components
-from repro.graph.dendrogram import cut_smallest_valid, single_linkage_dendrogram
-from repro.graph.wpg import Edge, WeightedProximityGraph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime import)
-    from repro.graph.cluster_tree import ClusterTree
+from repro.graph.wpg import WeightedProximityGraph
 
 Method = Literal["strict", "greedy"]
 
@@ -45,333 +46,40 @@ def centralized_k_clustering(
     k: int,
     method: Method = "greedy",
     vertices: Optional[Iterable[int]] = None,
-    naive: bool = False,
-    tree: "Optional[ClusterTree]" = None,
 ) -> Partition:
     """Partition ``graph`` (or the induced subgraph on ``vertices``).
 
     Returns a :class:`Partition`: valid clusters of size >= k plus the
-    components that simply do not contain k users.
+    components that simply do not contain k users.  Groups come in the
+    cluster tree's order: components by ascending smallest vertex, each
+    component's groups in dendrogram-cut order.
 
-    ``tree`` routes a whole-graph partition through a persistent
-    :class:`~repro.graph.cluster_tree.ClusterTree` built over ``graph``:
-    memoized tree cuts (and memoized greedy refinements) replace the
-    per-call dendrogram build, so repeated partitions are near-free.
-    Same clusters either way; ignored for subgraph or naive requests.
+    A target with fewer than 2k users is returned as its connected
+    components without building a tree — Algorithm 1's own stopping
+    rule: no split of fewer than 2k users leaves two valid pieces.
     """
     if k < 1:
         raise ConfigurationError(f"k must be >= 1, got {k}")
-    if tree is not None and vertices is None and not naive:
-        if method not in ("strict", "greedy"):
-            raise ConfigurationError(f"unknown method {method!r}")
-        groups = (
-            tree.strict_partition(k)
-            if method == "strict"
-            else tree.greedy_partition(k)
-        )
-        partition = Partition(k=k)
-        for group in groups:
-            (
-                partition.clusters if len(group) >= k else partition.invalid
-            ).append(group)
-        return partition
-    target = graph if vertices is None else graph.subgraph(vertices)
-    if method == "strict":
-        groups = (
-            _strict_partition_naive(target, k)
-            if naive
-            else _strict_partition_dendrogram(target, k)
-        )
-    elif method == "greedy":
-        groups = (
-            _greedy_partition_naive(target, k)
-            if naive
-            else _greedy_partition_fast(target, k)
-        )
-    else:
+    if method not in ("strict", "greedy"):
         raise ConfigurationError(f"unknown method {method!r}")
+    target = graph if vertices is None else graph.subgraph(vertices)
+    if len(target) < 2 * k:
+        groups = connected_components(target, sorted(target.vertices()))
+    elif method == "strict":
+        groups = ClusterTree(target).strict_partition(k)
+    else:
+        groups = ClusterTree(target).greedy_partition(k)
     partition = Partition(k=k)
     for group in groups:
         (partition.clusters if len(group) >= k else partition.invalid).append(group)
     return partition
 
 
-def strict_partition(
-    graph: WeightedProximityGraph, k: int, naive: bool = False
-) -> Partition:
+def strict_partition(graph: WeightedProximityGraph, k: int) -> Partition:
     """Algorithm 1 under strict t-component semantics."""
-    return centralized_k_clustering(graph, k, method="strict", naive=naive)
+    return centralized_k_clustering(graph, k, method="strict")
 
 
-def greedy_partition(
-    graph: WeightedProximityGraph, k: int, naive: bool = False
-) -> Partition:
+def greedy_partition(graph: WeightedProximityGraph, k: int) -> Partition:
     """Algorithm 1 under greedy edge-skip semantics (experiment default)."""
-    return centralized_k_clustering(graph, k, method="greedy", naive=naive)
-
-
-# -- strict semantics ---------------------------------------------------------
-
-
-def _strict_partition_dendrogram(
-    graph: WeightedProximityGraph, k: int
-) -> list[set[int]]:
-    return cut_smallest_valid(single_linkage_dendrogram(graph), k)
-
-
-def _strict_partition_naive(graph: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """Literal Algorithm 1: recursive descending weight-class removal."""
-    result: list[set[int]] = []
-    work = connected_components(graph)
-    while work:
-        component = work.pop()
-        pieces = _strict_split_once(graph, component, k)
-        if pieces is None:
-            result.append(component)
-        else:
-            work.extend(pieces)
-    return result
-
-
-def _strict_split_once(
-    graph: WeightedProximityGraph, component: set[int], k: int
-) -> Optional[list[set[int]]]:
-    """One strict partition step, or None when the component is final.
-
-    Lower t level by level (remove the heaviest remaining weight class)
-    until the component disconnects; accept only an all-valid split.
-    """
-    if len(component) < 2 * k:
-        return None  # cannot split into two valid pieces
-    sub = graph.subgraph(component)
-    levels = sorted({edge.weight for edge in sub.edges()}, reverse=True)
-    for level in levels:
-        for edge in [e for e in sub.edges() if e.weight == level]:
-            sub.remove_edge(edge.u, edge.v)
-        pieces = connected_components(sub)
-        if len(pieces) > 1:
-            if all(len(piece) >= k for piece in pieces):
-                return pieces
-            return None  # a further partition leads to an invalid cluster
-    return None  # edgeless without ever disconnecting: single vertex
-
-
-# -- greedy semantics ---------------------------------------------------------
-
-
-def _greedy_partition_naive(graph: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """Greedy Algorithm 1 straight over connected components."""
-    result: list[set[int]] = []
-    for component in connected_components(graph):
-        result.extend(_greedy_refine_naive(graph.subgraph(component), k))
-    return result
-
-
-def _greedy_partition_fast(graph: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """Strict dendrogram cut first, then greedy refinement of each cluster.
-
-    Every strict split is also accepted by greedy (each intermediate
-    binary disconnection separates unions of valid t-components, so both
-    sides have >= k vertices); refinement therefore only has to work
-    inside the usually-small strict clusters.
-    """
-    result: list[set[int]] = []
-    for cluster in _strict_partition_dendrogram(graph, k):
-        if len(cluster) < 2 * k:
-            result.append(cluster)
-        else:
-            result.extend(_greedy_refine(graph.subgraph(cluster), k))
-    return result
-
-
-def _greedy_refine(sub: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """Greedy fixpoint passes over one connected cluster (mutates ``sub``).
-
-    Each pass walks the remaining edges in descending (weight, key) order;
-    a removal that disconnects the edge's component is kept only if both
-    sides hold >= k vertices (the split is then final and both sides are
-    processed independently).  Passes repeat while any edge was removed:
-    an earlier-skipped bridge can become validly removable after a sibling
-    split shrinks its side.
-
-    This is the fast form: each component carries its edge list as plain
-    ``(weight, u, v)`` tuples sorted once in removal order, and a split
-    partitions the list between the two sides (an accepted split never
-    leaves a cross edge, so the partition is exact and order-preserving).
-    Re-enumerating and re-sorting the component's edges every pass — the
-    literal reading kept in :func:`_greedy_refine_naive` — dominates the
-    runtime on large components; the test suite cross-validates that both
-    forms remove exactly the same edges and return the same clusters in
-    the same order.
-    """
-    result: list[set[int]] = []
-    work: list[tuple[set[int], list[tuple[float, int, int]]]] = [
-        (component, _removal_order_edges(sub, component))
-        for component in connected_components(sub)
-    ]
-    while work:
-        component, edges = work.pop()
-        if len(component) < 2 * k:
-            result.append(component)
-            continue
-        split = _greedy_pass_until_fixpoint(sub, component, edges, k)
-        if split is None:
-            result.append(component)
-        else:
-            work.extend(split)
-    return result
-
-
-def _removal_order_edges(
-    sub: WeightedProximityGraph, component: set[int]
-) -> list[tuple[float, int, int]]:
-    """``component``'s live edges as (weight, u, v) with u < v, sorted by
-    descending weight with the (u, v) key as tie-break — the greedy
-    removal order."""
-    edges = [
-        (w, u, v)
-        for u in component
-        for v, w in sub.neighbor_weights(u)
-        if u < v
-    ]
-    edges.sort(key=lambda e: (-e[0], e[1], e[2]))
-    return edges
-
-
-def _greedy_pass_until_fixpoint(
-    sub: WeightedProximityGraph,
-    component: set[int],
-    edges: list[tuple[float, int, int]],
-    k: int,
-) -> Optional[list[tuple[set[int], list[tuple[float, int, int]]]]]:
-    """Run descending removal passes on ``component`` until a split or fixpoint.
-
-    ``edges`` must be exactly the component's live edges in removal order
-    (see :func:`_removal_order_edges`).  Returns the two sides of the
-    first accepted split, each paired with its share of the remaining
-    edge list (caller recurses), or None when no further removal is
-    possible.  Non-disconnecting removals mutate ``sub`` permanently —
-    they only ever shrink future work.
-    """
-    while True:
-        removed_any = False
-        kept: list[tuple[float, int, int]] = []
-        for index, edge in enumerate(edges):
-            weight, u, v = edge
-            sub.remove_edge(u, v)
-            side = _side_of(sub, u, v, component)
-            if side is None:
-                removed_any = True  # still connected; removal stands
-                continue
-            other = component - side
-            if len(side) >= k and len(other) >= k:
-                # A filtered subsequence of a sorted list stays sorted, so
-                # neither side ever needs re-sorting.
-                remaining = kept + edges[index + 1 :]
-                return [
-                    (side, [e for e in remaining if e[1] in side]),
-                    (other, [e for e in remaining if e[1] not in side]),
-                ]
-            sub.add_edge(u, v, weight)  # invalid split: skip
-            kept.append(edge)
-        if not removed_any:
-            return None
-        edges = kept
-
-
-def _greedy_refine_naive(sub: WeightedProximityGraph, k: int) -> list[set[int]]:
-    """The literal pass semantics of :func:`_greedy_refine` (reference form).
-
-    Re-enumerates and re-sorts the component's current edges at the start
-    of every pass, exactly as the prose of the algorithm reads.  Kept as
-    the differential reference for the fast form (and as the engine of
-    the ``naive`` greedy path): both must remove the same edges and
-    produce the same clusters in the same order.
-    """
-    result: list[set[int]] = []
-    work: list[set[int]] = connected_components(sub)
-    while work:
-        component = work.pop()
-        if len(component) < 2 * k:
-            result.append(component)
-            continue
-        split = _naive_pass_until_fixpoint(sub, component, k)
-        if split is None:
-            result.append(component)
-        else:
-            work.extend(split)
-    return result
-
-
-def _naive_pass_until_fixpoint(
-    sub: WeightedProximityGraph, component: set[int], k: int
-) -> Optional[list[set[int]]]:
-    """One-component fixpoint loop of :func:`_greedy_refine_naive`."""
-    while True:
-        removed_any = False
-        # Enumerate only this component's edges (sub is shared between the
-        # worklist's components; iterating all of sub would be quadratic).
-        edges = sorted(
-            (
-                Edge(u, v, w)
-                for u in component
-                for v, w in sub.neighbor_weights(u)
-                if u < v
-            ),
-            key=lambda e: (-e.weight, e.key()),
-        )
-        for edge in edges:
-            sub.remove_edge(edge.u, edge.v)
-            side = _side_of(sub, edge.u, edge.v, component)
-            if side is None:
-                removed_any = True  # still connected; removal stands
-                continue
-            other = component - side
-            if len(side) >= k and len(other) >= k:
-                return [side, other]
-            sub.add_edge(edge.u, edge.v, edge.weight)  # invalid split: skip
-        if not removed_any:
-            return None
-
-
-def _side_of(
-    sub: WeightedProximityGraph, u: int, v: int, component: set[int]
-) -> Optional[set[int]]:
-    """After removing (u, v): None if u~v still connected, else u's side.
-
-    Bidirectional BFS: grows both frontiers in lockstep so a true bridge
-    costs O(min side) and a non-bridge exits as soon as the frontiers
-    touch (cheap in dense rank-weighted WPGs).
-    """
-    seen_u: set[int] = {u}
-    seen_v: set[int] = {v}
-    frontier_u: list[int] = [u]
-    frontier_v: list[int] = [v]
-    while frontier_u and frontier_v:
-        # Expand the smaller frontier.
-        if len(frontier_u) <= len(frontier_v):
-            frontier_u = _expand(sub, frontier_u, seen_u)
-            if seen_u & seen_v:
-                return None
-        else:
-            frontier_v = _expand(sub, frontier_v, seen_v)
-            if seen_u & seen_v:
-                return None
-    if not frontier_u:
-        return seen_u
-    # v's side exhausted first: u's side is the complement.
-    if seen_u & seen_v:
-        return None
-    return component - seen_v
-
-
-def _expand(
-    sub: WeightedProximityGraph, frontier: list[int], seen: set[int]
-) -> list[int]:
-    new_frontier: list[int] = []
-    for vertex in frontier:
-        for neighbor in sub.neighbors(vertex):
-            if neighbor not in seen:
-                seen.add(neighbor)
-                new_frontier.append(neighbor)
-    return new_frontier
+    return centralized_k_clustering(graph, k, method="greedy")

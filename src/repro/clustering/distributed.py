@@ -41,7 +41,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Container, Optional
+from typing import Container, Optional
 
 from repro import obs
 from repro.errors import ClusteringError, ConfigurationError
@@ -50,9 +50,6 @@ from repro.obs import names as metric
 from repro.clustering.centralized import Method, centralized_k_clustering
 from repro.graph.components import external_border, t_component
 from repro.graph.wpg import WeightedProximityGraph
-
-if TYPE_CHECKING:  # pragma: no cover - typing only (no runtime import)
-    from repro.graph.cluster_tree import ClusterTree
 
 _EMPTY: frozenset[int] = frozenset()
 
@@ -89,14 +86,6 @@ class DistributedClustering:
     method:
         Partition semantics for step 3 (see
         :mod:`repro.clustering.centralized`).
-    tree:
-        Optional :class:`~repro.graph.cluster_tree.ClusterTree` over the
-        same graph.  Only consulted for step 1 under ``closure=True``
-        while no user is assigned yet (the tree is assignment-oblivious;
-        with exclusions in play the Prim span runs as before): the
-        closed smallest valid cluster is then the host's lowest
-        dendrogram ancestor with >= k leaves, one O(depth) walk instead
-        of a Prim span plus t-flood.
     """
 
     def __init__(
@@ -106,7 +95,6 @@ class DistributedClustering:
         registry: Optional[ClusterRegistry] = None,
         method: Method = "greedy",
         closure: bool = False,
-        tree: "Optional[ClusterTree]" = None,
     ) -> None:
         if k < 1:
             raise ConfigurationError(f"k must be >= 1, got {k}")
@@ -115,7 +103,6 @@ class DistributedClustering:
         self._registry = registry if registry is not None else ClusterRegistry()
         self._method = method
         self._closure = closure
-        self._tree = tree
 
     @property
     def registry(self) -> ClusterRegistry:
@@ -214,20 +201,6 @@ class DistributedClustering:
         self, host: int, exclude: Container[int], meter: InvolvementMeter
     ) -> tuple[set[int], float]:
         """Prim span to size k, then closure under t-reachability."""
-        if self._tree is not None and self._closure and len(exclude) == 0:
-            resolved = self._tree.smallest_valid_cluster(host, self._k)
-            if resolved is None:
-                raise ClusteringError(
-                    f"host {host}: fewer than k={self._k} reachable users remain"
-                )
-            members, t = resolved
-            cluster = set(members)
-            # Exactly who the span-and-close would touch: every member
-            # except the host (Prim pops k - 1, closure pops the rest).
-            meter.touch_all(cluster)
-            if self._k > 1 and obs.enabled():
-                obs.inc(metric.CLUSTERING_MEW_ITERATIONS, self._k - 1)
-            return cluster, t
         cluster = {host}
         heap: list[tuple[float, int, int]] = []  # (weight, vertex, via)
         self._push_neighbors(host, cluster, exclude, heap)

@@ -18,10 +18,11 @@ re-running Prim spans and t-component floods per request:
   the connecting weight; the re-closed cluster is then just a higher
   ancestor of the host (the border edge's weight exceeds t, so t grows
   strictly and the cluster stays a t-component) — ``node_at(host, t)``.
-* **Step 3**: :meth:`ClusterTree.node_partition` — the identical
-  ``centralized_k_clustering`` call the distributed path makes, memoized
-  per node, so repeated requests inside one component never re-run a
-  greedy refinement.
+* **Step 3**: :meth:`ClusterTree.node_partition` — the partition the
+  distributed path's ``centralized_k_clustering`` call computes on a
+  tree of its own, here read off the persistent tree and memoized per
+  node, so repeated requests inside one component never re-run a greedy
+  refinement.
 
 The tree answers are assignment-*oblivious*: they ignore the registry
 exclusions the distributed path applies everywhere.  Theorem 4.4 makes

@@ -24,7 +24,15 @@ from the root for every query and rebuilt from scratch per request.
   full induced subgraph — reverse-delete discards every non-forest edge
   as a non-bridge before making any keep/split decision, so restricting
   the pass to the forest is decision-for-decision identical (see
-  :meth:`node_partition`);
+  :meth:`node_partition`).  This is the repo's only Algorithm 1
+  implementation: ``centralized_k_clustering`` builds a tree over its
+  target and returns these partitions.  They are bit-identical — same
+  groups, same order within each component — to
+  :func:`repro.verify.oracles.oracle_ordered_partition`, the dendrogram
+  cut followed by the literal greedy pass, and equal as sets to the
+  literal edge-removal oracles (``tests/test_cluster_tree.py``,
+  ``tests/test_greedy_refine_properties.py`` and the
+  ``cluster-tree-equal`` fuzz invariant);
 * exact Property 4.1 *isolation bits* (:meth:`is_isolated`): a
   >=k-node C is isolated iff at every proper ancestor all off-path
   sibling subtrees have >= k leaves — then no outside vertex resolves
@@ -556,8 +564,9 @@ class ClusterTree:
         than all edges inside it; the forest scan spans the node before
         touching any outgoing edge, and the restriction is a spanning
         tree of the leaves.  On a spanning tree every removal
-        disconnects, so ``_greedy_refine``'s pass-until-fixpoint
-        collapses to: accept the first edge in removal order whose two
+        disconnects, so the literal pass-until-fixpoint
+        (:func:`repro.verify.oracles.oracle_greedy_partition`) collapses
+        to: accept the first edge in removal order whose two
         sides both hold >= k vertices, recurse into the sides, and a
         component with no acceptable edge is final.
 
@@ -787,9 +796,9 @@ class ClusterTree:
     def greedy_partition(self, k: int) -> list[set[int]]:
         """The greedy Algorithm 1 partition: strict cut + refinement.
 
-        Same clusters as ``centralized_k_clustering(graph, k, "greedy")``;
-        refinements are memoized per cut node, so repeated calls (and
-        per-request lazy resolutions) never re-run them.
+        Components come in ascending smallest-vertex order; refinements
+        are memoized per cut node, so repeated calls (and per-request
+        lazy resolutions) never re-run them.
         """
         result: list[set[int]] = []
         for comp_id, tree in self._components.items():
@@ -811,9 +820,11 @@ class ClusterTree:
         """Algorithm 1 over the node's leaves (memoized per node/k/method).
 
         Bit-identical — same groups, same order — to
-        ``centralized_k_clustering(graph, k, method, vertices=leaves)``,
-        the call Algorithm 2's step 3 makes on a gathered cluster, but
-        computed natively on the tree:
+        :func:`repro.verify.oracles.oracle_ordered_partition` of the
+        leaves' induced subgraph: the dendrogram cut, then the literal
+        greedy pass on every cut piece of >= 2k leaves.  That is the
+        partition Algorithm 2's step 3 makes of a gathered cluster, here
+        computed on the persistent tree without building one:
 
         * A node is a t-component, so the dendrogram of its induced
           subgraph (structure *and* child order: the subgraph's edges

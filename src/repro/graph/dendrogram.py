@@ -1,4 +1,4 @@
-"""Single-linkage dendrogram of a WPG (the fast form of Algorithm 1).
+"""Single-linkage dendrogram of a WPG (the reference form of Algorithm 1).
 
 Algorithm 1 removes edges from a connected component in descending weight
 order "until this cluster is no longer connected and is thus partitioned
@@ -19,10 +19,12 @@ becomes a top-down cut (:func:`cut_smallest_valid`).  Nodes merge
 *multi-way*: all components joined by edges of one weight level become
 children of a single node.
 
-The naive literal translation in
-:mod:`repro.clustering.centralized` removes descending weight classes
-from an explicit graph copy; the test suite verifies it computes exactly
-the same partition as the dendrogram cut.
+The literal translation, :func:`repro.verify.oracles.oracle_strict_partition`,
+removes descending weight classes from an explicit graph copy; the test
+suite verifies it computes exactly the same partition as the dendrogram
+cut.  This module is the reference form: the serving kernel is
+:class:`~repro.graph.cluster_tree.ClusterTree`, whose layout is pinned to
+these dendrograms column for column.
 """
 
 from __future__ import annotations

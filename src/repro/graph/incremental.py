@@ -283,19 +283,26 @@ class IncrementalWPG:
         vs: np.ndarray,
         ws: np.ndarray,
     ) -> None:
-        """One-time O(E) check that an adopted graph matches the grid."""
+        """One-time O(E) check that an adopted graph matches the grid.
+
+        Both sides are edge columns sorted by the canonical ``(u, v)``
+        key (``mutual_rank_edges`` emits them that way), so the check is
+        three array comparisons.
+        """
         if graph.vertex_count != len(self._grid):
             raise ConfigurationError(
                 f"adopted graph has {graph.vertex_count} vertices but the "
                 f"grid indexes {len(self._grid)} id slots"
             )
-        expected = {
-            (min(a, b), max(a, b)): w
-            for a, b, w in zip(us.tolist(), vs.tolist(), ws.tolist())
-        }
-        actual = {e.key(): e.weight for e in graph.edges()}
-        if expected != actual:
-            diff = set(expected.items()) ^ set(actual.items())
+        _ids, gus, gvs, gws = graph.edge_columns()
+        if not (
+            np.array_equal(us, gus)
+            and np.array_equal(vs, gvs)
+            and np.array_equal(ws, gws)
+        ):
+            diff = set(zip(us.tolist(), vs.tolist(), ws.tolist())) ^ set(
+                zip(gus.tolist(), gvs.tolist(), gws.tolist())
+            )
             raise ConfigurationError(
                 f"adopted graph disagrees with the grid population on "
                 f"{len(diff)} edge entries — was it built with the same "

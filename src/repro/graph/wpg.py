@@ -329,18 +329,19 @@ class WeightedProximityGraph:
     # -- derived graphs ---------------------------------------------------------
 
     def subgraph(self, vertices: Iterable[int]) -> "WeightedProximityGraph":
-        """The induced subgraph on ``vertices``."""
+        """The induced subgraph on ``vertices``.
+
+        Costs O(|vertices| + their degrees), whatever the graph's size.
+        """
         keep = set(vertices)
-        unknown = keep - self._adjacency.keys()
+        adj = self._adjacency
+        unknown = [vertex for vertex in keep if vertex not in adj]
         if unknown:
             raise GraphError(f"unknown vertices: {sorted(unknown)[:5]}")
+        induced = {u: {v: w for v, w in adj[u].items() if v in keep} for u in keep}
         sub = WeightedProximityGraph()
-        for vertex in keep:
-            sub.add_vertex(vertex)
-        for u in keep:
-            for v, weight in self._adjacency[u].items():
-                if v in keep and u < v:
-                    sub.add_edge(u, v, weight)
+        sub._adjacency = induced
+        sub._edge_count = sum(map(len, induced.values())) // 2
         return sub
 
     def copy(self) -> "WeightedProximityGraph":

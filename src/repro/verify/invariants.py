@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
-from repro.clustering.centralized import centralized_k_clustering, strict_partition
+from repro.clustering.centralized import strict_partition
 from repro.clustering.isolation import (
     border_condition_holds,
     isolation_counterexample,
@@ -39,9 +39,11 @@ from repro.obs import trace as trace_mod
 from repro.verify.oracles import (
     ORACLE_MAX_VERTICES,
     oracle_bounding_box,
+    oracle_greedy_partition,
     oracle_isolation_violations,
     oracle_min_mew_clusters,
     oracle_smallest_cluster,
+    oracle_strict_partition,
 )
 from repro.verify.transcript import (
     TranscriptRecorder,
@@ -705,11 +707,12 @@ def _tree_record_diffs(
 def _cluster_tree_equal(run: WorldRun) -> List[str]:
     """The persistent cluster tree is exactly the dendrogram/oracle math.
 
-    Four layers, all on the same fuzzed world: (a) whole-graph strict and
-    greedy partitions routed through the tree equal the direct
-    ``centralized_k_clustering`` runs; (b) every requested host's tree
-    ancestor walk equals the from-definition level-scan oracle, cluster
-    and t both; (c) on small worlds, the tree's Property 4.1 isolation
+    Four layers, all on the same fuzzed world: (a) the tree's whole-graph
+    strict and greedy partitions — the Algorithm 1 kernel every
+    partition runs through — equal the literal edge-removal oracles as
+    sets; (b) every requested host's tree ancestor walk equals the
+    from-definition level-scan oracle, cluster and t both; (c) on small
+    worlds, the tree's Property 4.1 isolation
     bits along each host's ancestor path match the exhaustive removal
     oracle; (d) the tree-replay engine pass (including post-churn, where
     the tree was patched incrementally) matches the closure-reference
@@ -721,15 +724,16 @@ def _cluster_tree_equal(run: WorldRun) -> List[str]:
     details: List[str] = []
     tree = ClusterTree(graph)
 
-    for method in ("strict", "greedy"):
-        direct = centralized_k_clustering(graph, k, method=method)
-        routed = centralized_k_clustering(graph, k, method=method, tree=tree)
-        if _canonical_partition(direct.all_groups()) != _canonical_partition(
-            routed.all_groups()
+    for method, kernel, oracle in (
+        ("strict", tree.strict_partition, oracle_strict_partition),
+        ("greedy", tree.greedy_partition, oracle_greedy_partition),
+    ):
+        if _canonical_partition(kernel(k)) != _canonical_partition(
+            oracle(graph, k)
         ):
             details.append(
-                f"whole-graph {method} partition differs between the tree "
-                "route and the direct dendrogram path"
+                f"whole-graph {method} partition differs between the "
+                "cluster tree and the literal Algorithm 1 oracle"
             )
 
     for host in run.built.hosts:

@@ -19,7 +19,13 @@ implementation under test:
 * :func:`oracle_tree_columns` / :func:`oracle_kruskal_forest` — the
   cluster tree's exact layout, by a preorder walk of
   :func:`~repro.graph.dendrogram.single_linkage_dendrogram` and a
-  sequential constrained Kruskal scan over ``Edge`` objects.
+  sequential constrained Kruskal scan over ``Edge`` objects;
+* :func:`oracle_strict_partition` / :func:`oracle_greedy_partition` —
+  Algorithm 1 as its prose reads: edge removal on an explicit graph
+  copy, connectivity by plain BFS after every removal;
+  :func:`oracle_ordered_partition` fixes the group order the cluster
+  tree must reproduce (dendrogram cut, then the literal greedy pass on
+  every piece of >= 2k users).
 
 The subset enumeration is exponential by design — it is only *correct*,
 never fast.  Asking it about a component larger than
@@ -29,6 +35,7 @@ silently taking minutes.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from itertools import combinations
 from typing import Container, Iterable, Optional, Sequence
@@ -36,9 +43,9 @@ from typing import Container, Iterable, Optional, Sequence
 from repro.errors import VerificationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.graph.dendrogram import single_linkage_dendrogram
+from repro.graph.dendrogram import cut_smallest_valid, single_linkage_dendrogram
 from repro.graph.unionfind import UnionFind
-from repro.graph.wpg import WeightedProximityGraph
+from repro.graph.wpg import Edge, WeightedProximityGraph
 
 #: Hard cap on the component size the exponential oracles accept.  2^12
 #: subsets with a Kruskal scan each stays well under a second.
@@ -280,3 +287,171 @@ def oracle_kruskal_forest(
             adjacency[edge.u].append((edge.v, edge.weight))
             adjacency[edge.v].append((edge.u, edge.weight))
     return adjacency
+
+
+# -- Algorithm 1, literally ----------------------------------------------------
+
+
+def _components(graph: WeightedProximityGraph) -> list[set[int]]:
+    """Connected components by plain BFS, in vertex iteration order."""
+    seen: set[int] = set()
+    components: list[set[int]] = []
+    for vertex in graph.vertices():
+        if vertex not in seen:
+            component = _level_component(graph, vertex, math.inf)
+            seen |= component
+            components.append(component)
+    return components
+
+
+def _induced(
+    graph: WeightedProximityGraph, vertices: Iterable[int]
+) -> WeightedProximityGraph:
+    """A private, mutable copy of the subgraph induced by ``vertices``."""
+    keep = set(vertices)
+    copy = WeightedProximityGraph()
+    for u in keep:
+        copy.add_vertex(u)
+        for v, weight in graph.neighbor_weights(u):
+            if v in keep and u < v:
+                copy.add_edge(u, v, weight)
+    return copy
+
+
+def oracle_strict_partition(
+    graph: WeightedProximityGraph, k: int
+) -> list[set[int]]:
+    """Algorithm 1 under strict semantics: recursive weight-class removal.
+
+    Each component of at least 2k vertices loses its heaviest remaining
+    weight class until it disconnects; the split is kept only when every
+    piece has >= k vertices, and the pieces recurse.  Groups come in
+    work-list order (compare as sets).
+    """
+    result: list[set[int]] = []
+    work = _components(graph)
+    while work:
+        component = work.pop()
+        pieces = _strict_split_once(graph, component, k)
+        if pieces is None:
+            result.append(component)
+        else:
+            work.extend(pieces)
+    return result
+
+
+def _strict_split_once(
+    graph: WeightedProximityGraph, component: set[int], k: int
+) -> Optional[list[set[int]]]:
+    """One strict partition step, or None when the component is final."""
+    if len(component) < 2 * k:
+        return None  # cannot split into two valid pieces
+    sub = _induced(graph, component)
+    levels = sorted({edge.weight for edge in sub.edges()}, reverse=True)
+    for level in levels:
+        for edge in [e for e in sub.edges() if e.weight == level]:
+            sub.remove_edge(edge.u, edge.v)
+        pieces = _components(sub)
+        if len(pieces) > 1:
+            if all(len(piece) >= k for piece in pieces):
+                return pieces
+            return None  # a further partition leads to an invalid cluster
+    return None  # edgeless without ever disconnecting: single vertex
+
+
+def oracle_greedy_partition(
+    graph: WeightedProximityGraph, k: int
+) -> list[set[int]]:
+    """Algorithm 1 under greedy semantics: one edge at a time, to a fixpoint.
+
+    Every pass re-enumerates a component's edges in descending
+    ``(weight, key)`` order and removes each in turn.  A removal that
+    leaves the endpoints connected stands; one that disconnects is kept
+    only if both sides hold >= k vertices, and the sides then recurse
+    (far side first).  Passes repeat while any edge was removed.
+    """
+    sub = _induced(graph, graph.vertices())
+    result: list[set[int]] = []
+    work = _components(sub)
+    while work:
+        component = work.pop()
+        split = (
+            None
+            if len(component) < 2 * k
+            else _literal_greedy_split(sub, component, k)
+        )
+        if split is None:
+            result.append(component)
+        else:
+            work.extend(split)
+    return result
+
+
+def _literal_greedy_split(
+    sub: WeightedProximityGraph, component: set[int], k: int
+) -> Optional[list[set[int]]]:
+    """Removal passes over ``component`` until a valid split or a fixpoint."""
+    while True:
+        removed_any = False
+        edges = sorted(
+            (
+                Edge(u, v, w)
+                for u in component
+                for v, w in sub.neighbor_weights(u)
+                if u < v
+            ),
+            key=lambda e: (-e.weight, e.key()),
+        )
+        for edge in edges:
+            sub.remove_edge(edge.u, edge.v)
+            side = _side_after_removal(sub, edge.u, edge.v)
+            if side is None:
+                removed_any = True  # still connected; removal stands
+                continue
+            other = component - side
+            if len(side) >= k and len(other) >= k:
+                return [side, other]
+            sub.add_edge(edge.u, edge.v, edge.weight)  # invalid split: skip
+        if not removed_any:
+            return None
+
+
+def _side_after_removal(
+    sub: WeightedProximityGraph, u: int, v: int
+) -> Optional[set[int]]:
+    """BFS from ``u``: None once ``v`` is reached, else u's whole side."""
+    seen = {u}
+    queue: deque[int] = deque([u])
+    while queue:
+        vertex = queue.popleft()
+        for neighbor in sub.neighbors(vertex):
+            if neighbor == v:
+                return None
+            if neighbor not in seen:
+                seen.add(neighbor)
+                queue.append(neighbor)
+    return seen
+
+
+def oracle_ordered_partition(
+    graph: WeightedProximityGraph, k: int, method: str = "greedy"
+) -> list[set[int]]:
+    """Algorithm 1 in the group order the cluster tree must reproduce.
+
+    The strict partition is the dendrogram cut
+    (:func:`~repro.graph.dendrogram.cut_smallest_valid` over
+    :func:`single_linkage_dendrogram`); under greedy semantics every cut
+    piece of >= 2k vertices is replaced by
+    :func:`oracle_greedy_partition` of that piece.  On a connected graph
+    this is the order of ``centralized_k_clustering``; a disconnected
+    graph's components come in dendrogram-root order here and in
+    ascending smallest-vertex order there, each component's groups
+    contiguous and identically ordered in both.
+    """
+    groups: list[set[int]] = []
+    for piece in cut_smallest_valid(single_linkage_dendrogram(graph), k):
+        if method == "strict" or len(piece) < 2 * k:
+            groups.append(piece)
+        else:
+            groups.extend(oracle_greedy_partition(_induced(graph, piece), k))
+    return groups

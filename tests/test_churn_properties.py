@@ -20,9 +20,12 @@ Two families of properties back the dynamic-population runtime:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, strategies as st
 
+from repro.datasets import uniform_points
 from repro.datasets.base import PointDataset
+from repro.errors import ConfigurationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.graph.build import build_wpg_fast
@@ -180,3 +183,37 @@ def test_incremental_wpg_equals_rebuild_after_random_moves(data):
             )
             == []
         )
+
+
+def test_adopted_graph_that_disagrees_with_the_grid_is_refused():
+    """``IncrementalWPG(graph=...)`` checks the adopted graph once: one
+    reweighted, missing or extra edge, or a wrong vertex count, refuses
+    it with a ConfigurationError."""
+    dataset = uniform_points(60, seed=8)
+    delta, max_peers = 0.2, 4
+    graph = build_wpg_fast(dataset, delta, max_peers)
+
+    def adopt(candidate):
+        grid = GridIndex(list(dataset), cell_size=delta)
+        return IncrementalWPG(grid, delta, max_peers, graph=candidate)
+
+    assert adopt(graph.copy()).graph.edge_count == graph.edge_count
+    edge = next(graph.edges())
+    absent = next(
+        (u, v)
+        for u in range(len(dataset))
+        for v in range(u + 1, len(dataset))
+        if not graph.has_edge(u, v)
+    )
+    reweighted, missing, extra = graph.copy(), graph.copy(), graph.copy()
+    reweighted.edit_edges([(edge.u, edge.v, edge.weight, edge.weight + 1.0)])
+    missing.remove_edge(edge.u, edge.v)
+    extra.add_edge(*absent, 1.0)
+    # A reweighted edge differs in two (key, weight) entries, one per side.
+    for candidate, entries in ((reweighted, 2), (missing, 1), (extra, 1)):
+        with pytest.raises(ConfigurationError, match=f"on {entries} edge entries"):
+            adopt(candidate)
+    grown = graph.copy()
+    grown.add_vertex(len(dataset))
+    with pytest.raises(ConfigurationError, match="61 vertices"):
+        adopt(grown)

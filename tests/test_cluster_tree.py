@@ -1,7 +1,7 @@
 """The persistent bottleneck cluster tree vs the throwaway dendrogram math.
 
 Every query the tree answers has an existing reference implementation —
-``centralized_k_clustering``, the level-scan oracles, the exhaustive
+the literal Algorithm 1 oracles, the level-scan oracles, the exhaustive
 isolation sweep — and each test here pins the tree to one of them, on
 hand-checkable fixtures and on randomized graphs.  The churn tests drive
 :meth:`ClusterTree.apply_patch` with real :class:`IncrementalWPG` patches
@@ -14,7 +14,6 @@ import random
 
 import pytest
 
-from repro.clustering.centralized import centralized_k_clustering
 from repro.datasets import uniform_points
 from repro.errors import GraphError
 from repro.geometry.point import Point
@@ -24,9 +23,12 @@ from repro.graph.incremental import IncrementalWPG
 from repro.graph.wpg import WeightedProximityGraph
 from repro.spatial.grid import GridIndex
 from repro.verify.oracles import (
+    oracle_greedy_partition,
     oracle_isolation_violations,
     oracle_kruskal_forest,
+    oracle_ordered_partition,
     oracle_smallest_cluster,
+    oracle_strict_partition,
     oracle_tree_columns,
 )
 
@@ -115,24 +117,15 @@ def test_partitions_match_centralized_on_random_graphs():
         for k in (1, 2, 3, 5):
             if k > n:
                 continue
-            for method in ("strict", "greedy"):
-                direct = centralized_k_clustering(graph, k, method=method)
-                assert canonical(
-                    tree.strict_partition(k)
-                    if method == "strict"
-                    else tree.greedy_partition(k)
-                ) == canonical(direct.all_groups()), (seed, k, method)
-
-
-def test_tree_route_of_centralized_k_clustering():
-    rng = random.Random(7)
-    graph = random_graph(rng, 30, 0.12)
-    tree = ClusterTree(graph)
-    for method in ("strict", "greedy"):
-        direct = centralized_k_clustering(graph, 3, method=method)
-        routed = centralized_k_clustering(graph, 3, method=method, tree=tree)
-        assert canonical(routed.clusters) == canonical(direct.clusters)
-        assert canonical(routed.invalid) == canonical(direct.invalid)
+            for method, ours, literal in (
+                ("strict", tree.strict_partition, oracle_strict_partition),
+                ("greedy", tree.greedy_partition, oracle_greedy_partition),
+            ):
+                assert canonical(ours(k)) == canonical(literal(graph, k)), (
+                    seed,
+                    k,
+                    method,
+                )
 
 
 def test_smallest_valid_cluster_matches_level_scan_oracle():
@@ -259,8 +252,8 @@ def assert_exact_layout(tree: ClusterTree, graph: WeightedProximityGraph, tag):
 
 
 def assert_ordered_node_partitions(tree: ClusterTree, graph, k: int, tag):
-    """Every >= k node partitions exactly as Algorithm 1 on its leaves,
-    group order included."""
+    """Every >= k node partitions exactly as the ordered Algorithm 1
+    oracle on its leaves' induced subgraph, group order included."""
     for cols in tree.component_columns():
         root = tree.root_of(cols[4][0])
         for index, size in enumerate(cols[2]):
@@ -269,11 +262,11 @@ def assert_ordered_node_partitions(tree: ClusterTree, graph, k: int, tag):
             node = (root[0], index)
             leaves = tree.leaves(node)
             for method in ("strict", "greedy"):
-                direct = centralized_k_clustering(
-                    graph, k, method=method, vertices=leaves
-                ).all_groups()
+                reference = oracle_ordered_partition(
+                    graph.subgraph(leaves), k, method
+                )
                 assert list(tree.node_partition(node, k, method)) == [
-                    frozenset(group) for group in direct
+                    frozenset(group) for group in reference
                 ], (tag, sorted(leaves)[:6], method)
 
 

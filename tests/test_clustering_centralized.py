@@ -12,6 +12,12 @@ from repro.clustering.centralized import (
 from repro.errors import ConfigurationError
 from repro.graph.generators import random_weighted_graph, small_world_graph
 from repro.graph.wpg import WeightedProximityGraph
+from repro.verify.oracles import oracle_greedy_partition, oracle_strict_partition
+
+
+def canonical(groups):
+    """Order-free partition form (never sort sets: subset partial order)."""
+    return sorted(tuple(sorted(group)) for group in groups)
 
 
 class TestHandExamples:
@@ -105,28 +111,75 @@ class TestHandExamples:
 
 
 class TestNaiveVsFast:
+    """The cluster-tree kernel against the literal Algorithm 1 oracles."""
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 400), k=st.integers(2, 5))
     def test_strict_naive_equals_dendrogram(self, seed, k):
         graph = random_weighted_graph(16, edge_probability=0.25, seed=seed)
-        fast = strict_partition(graph, k, naive=False)
-        naive = strict_partition(graph, k, naive=True)
-        assert sorted(sorted(c) for c in fast.clusters) == sorted(
-            sorted(c) for c in naive.clusters
+        fast = strict_partition(graph, k)
+        naive = oracle_strict_partition(graph, k)
+        assert canonical(fast.clusters) == canonical(
+            group for group in naive if len(group) >= k
         )
-        assert sorted(sorted(c) for c in fast.invalid) == sorted(
-            sorted(c) for c in naive.invalid
+        assert canonical(fast.invalid) == canonical(
+            group for group in naive if len(group) < k
         )
 
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(0, 300), k=st.integers(2, 4))
     def test_greedy_naive_equals_fast(self, seed, k):
         graph = small_world_graph(24, base_degree=4, rewire_probability=0.3, seed=seed)
-        fast = greedy_partition(graph, k, naive=False)
-        naive = greedy_partition(graph, k, naive=True)
-        assert sorted(sorted(c) for c in fast.clusters) == sorted(
-            sorted(c) for c in naive.clusters
+        fast = greedy_partition(graph, k)
+        naive = oracle_greedy_partition(graph, k)
+        assert canonical(fast.all_groups()) == canonical(naive)
+
+
+class TestUnderTwoK:
+    """A target of fewer than 2k users comes back as its components."""
+
+    def test_disconnected_target_keeps_components_in_vertex_order(self):
+        g = WeightedProximityGraph.from_edges(
+            [(9, 3, 1.0), (3, 7, 2.0), (8, 1, 1.0), (5, 6, 4.0)],
+            vertices=[4, 0],
         )
+        for method in ("strict", "greedy"):
+            partition = centralized_k_clustering(g, 5, method=method)
+            assert partition.clusters == []
+            assert partition.invalid == [{0}, {1, 8}, {3, 7, 9}, {4}, {5, 6}]
+            restricted = centralized_k_clustering(
+                g, 3, method=method, vertices=[9, 8, 7, 5, 3]
+            )
+            assert restricted.clusters == [{3, 7, 9}]
+            assert restricted.invalid == [{5}, {8}]
+
+    @staticmethod
+    def _chain_of_cliques(k: int) -> WeightedProximityGraph:
+        """Two k-cliques (weight 1) joined by one weight-5 bridge."""
+        g = WeightedProximityGraph()
+        for base in (0, k):
+            for i in range(base, base + k):
+                for j in range(i + 1, base + k):
+                    g.add_edge(i, j, 1.0)
+        g.add_edge(k - 1, k, 5.0)
+        return g
+
+    def test_two_k_target_splits_into_halves(self):
+        k = 3
+        g = self._chain_of_cliques(k)
+        for method in ("strict", "greedy"):
+            partition = centralized_k_clustering(g, k, method=method)
+            assert canonical(partition.clusters) == [(0, 1, 2), (3, 4, 5)]
+            assert partition.invalid == []
+
+    def test_one_user_short_comes_back_whole(self):
+        k = 3
+        g = self._chain_of_cliques(k)
+        rest = set(range(1, 2 * k))
+        for method in ("strict", "greedy"):
+            partition = centralized_k_clustering(g, k, method=method, vertices=rest)
+            assert partition.clusters == [rest]
+            assert partition.invalid == []
 
 
 class TestPartitionProperties:

@@ -159,32 +159,6 @@ def test_fast_path_counters(two_blobs_graph):
     assert snapshot.get(metric.CLUSTERING_REQUESTS) == 2.0
 
 
-def test_distributed_step1_tree_hook_matches_plain():
-    for seed in range(25):
-        rng = random.Random(40 + seed)
-        n = rng.randint(2, 32)
-        graph = random_graph(rng, n, rng.uniform(0.05, 0.3))
-        k = rng.randint(1, 5)
-        tree = ClusterTree(graph)
-        plain = DistributedClustering(graph, k, closure=True)
-        hooked = DistributedClustering(graph, k, closure=True, tree=tree)
-        for host in range(n):
-            try:
-                a, ea = plain.propose(host), None
-            except ClusteringError as exc:
-                a, ea = None, str(exc)
-            try:
-                b, eb = hooked.propose(host), None
-            except ClusteringError as exc:
-                b, eb = None, str(exc)
-            assert ea == eb, (seed, host)
-            if a is None:
-                continue
-            assert a.groups == b.groups, (seed, host)
-            assert a.connectivity == b.connectivity, (seed, host)
-            assert a.involved == b.involved, (seed, host)
-
-
 # -- engine integration --------------------------------------------------------
 
 

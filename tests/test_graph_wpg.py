@@ -1,5 +1,7 @@
 """Tests for the WPG data structure and union-find."""
 
+import random
+
 import pytest
 
 from repro.errors import GraphError
@@ -138,6 +140,45 @@ class TestDerivedGraphs:
         clone.remove_edge(0, 1)
         assert triangle_plus.has_edge(0, 1)
         assert not clone.has_edge(0, 1)
+
+    def test_subgraph_unknown_ids_reported_sorted(self, triangle_plus):
+        with pytest.raises(GraphError, match=r"\[5, 6, 7, 8, 9\]"):
+            triangle_plus.subgraph([0, 12, 9, 5, 11, 8, 6, 7, 10])
+
+    @pytest.mark.parametrize("lazy", [False, True], ids=["edges", "arrays"])
+    def test_subgraph_matches_filtered_edge_list(self, lazy):
+        """Random subsets of a random graph, built edge by edge or via
+        ``from_arrays``: the induced adjacency and edge count are exactly
+        the filtered edge list's, and the copy is independent."""
+        rng = random.Random(17)
+        n = 70
+        edges = [
+            (u, v, float(rng.randint(1, 6)))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.08
+        ]
+        for _ in range(30):
+            if lazy:
+                us, vs, ws = zip(*edges)
+                graph = WeightedProximityGraph.from_arrays(n, us, vs, ws)
+            else:
+                graph = WeightedProximityGraph.from_edges(edges, vertices=range(n))
+            keep = set(rng.sample(range(n), rng.randint(0, n)))
+            sub = graph.subgraph(keep)
+            kept = [(u, v, w) for u, v, w in edges if u in keep and v in keep]
+            adjacency: dict[int, dict[int, float]] = {u: {} for u in keep}
+            for u, v, w in kept:
+                adjacency[u][v] = w
+                adjacency[v][u] = w
+            assert sub.edge_count == len(kept)
+            assert {u: dict(sub.neighbor_weights(u)) for u in sub.vertices()} == (
+                adjacency
+            )
+            if kept:
+                u, v, _w = kept[0]
+                sub.remove_edge(u, v)
+                assert graph.has_edge(u, v)
 
 
 class TestUnionFind:
