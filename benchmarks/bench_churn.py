@@ -17,7 +17,10 @@ served two ways from identical schedules —
 
 All paths serve the same host sequence; the final incremental and tree
 graphs are cross-checked edge-for-edge against a from-scratch rebuild
-of the final positions.  Every failed request is classified *outside*
+of the final positions, and the tree leg's churn-patched cluster tree
+against a fresh ``ClusterTree`` of that rebuild: every component's
+preorder columns (child order included) and every vertex's constrained
+Kruskal forest edges.  Every failed request is classified *outside*
 the latency timing against the exact level-scan oracle
 (:func:`repro.verify.oracles.oracle_smallest_cluster`, excluding the
 already-assigned users): ``sub_k`` means the oracle agrees no valid
@@ -54,7 +57,8 @@ The output schema (``bench_churn/v2``)::
       },
       "maintenance_speedup": ...,   # rebuild seconds / incremental seconds
       "graphs_equal": true,         # incremental final graph == rebuild
-      "tree_graphs_equal": true     # tree final graph == rebuild
+      "tree_graphs_equal": true,    # tree final graph == rebuild
+      "tree_equal": true            # patched tree == fresh tree of rebuild
     }
 
 Failure counts may legitimately differ between the tree path and the
@@ -67,8 +71,8 @@ every path must hold.
 
 The file is a plain script (no pytest fixtures) so ``pytest benchmarks/``
 collects nothing from it; the CI smoke invokes it at a small population
-and asserts ``maintenance_speedup >= 1``, both graph equalities, and
-zero ``defect`` failures on every path.
+and asserts ``maintenance_speedup >= 1``, both graph equalities, the
+tree equality, and zero ``defect`` failures on every path.
 """
 
 from __future__ import annotations
@@ -89,6 +93,7 @@ from repro.errors import ClusteringError
 from repro.experiments.workloads import clusterable_users
 from repro.geometry.point import Point
 from repro.graph.build import build_wpg_fast
+from repro.graph.cluster_tree import ClusterTree
 from repro.mobility.waypoint import RandomWaypointModel
 from repro.verify.invariants import graph_equality_details
 from repro.verify.oracles import oracle_smallest_cluster
@@ -181,12 +186,12 @@ def _latency_ms(latencies: list[float]) -> dict:
 
 def run_incremental(
     dataset, graph, config, schedule, hosts, clustering=None
-) -> tuple[dict, object]:
+) -> tuple[dict, CloakingEngine]:
     """The churn runtime: one engine, patched in place tick after tick.
 
     ``clustering="tree"`` opts the engine into the cluster-tree fast
     path; the tree's own churn patching then runs (and is charged)
-    inside ``apply_moves``.
+    inside ``apply_moves``.  Returns the record and the final engine.
     """
     engine = CloakingEngine(dataset, graph, config, clustering=clustering)
     maintenance = 0.0
@@ -217,7 +222,7 @@ def run_incremental(
             "cache_hit_rate": round(hits / served, 4) if served else 0.0,
         },
     }
-    return record, engine.graph
+    return record, engine
 
 
 def run_rebuild(dataset, config, schedule, hosts) -> tuple[dict, object]:
@@ -250,6 +255,21 @@ def run_rebuild(dataset, config, schedule, hosts) -> tuple[dict, object]:
         },
     }
     return record, graph
+
+
+def trees_equal(tree: ClusterTree, graph) -> bool:
+    """Whether ``tree`` equals a fresh ``ClusterTree(graph)`` exactly:
+    per-component preorder columns, compared in smallest-leaf order, and
+    every vertex's forest edges in acceptance order."""
+    fresh = ClusterTree(graph)
+
+    def columns(of: ClusterTree) -> list:
+        return sorted(of.component_columns(), key=lambda cols: min(cols[4]))
+
+    return columns(tree) == columns(fresh) and all(
+        tree.forest_neighbors(vertex) == fresh.forest_neighbors(vertex)
+        for vertex in graph.vertices()
+    )
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -296,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         f"users={args.users} delta={delta:.2g} ticks={args.ticks} "
         f"movers/tick={movers} requests/tick={args.requests_per_tick}"
     )
-    incremental, patched_graph = run_incremental(
+    incremental, incremental_engine = run_incremental(
         dataset, graph, config, schedule, hosts
     )
     print(
@@ -315,7 +335,7 @@ def main(argv: list[str] | None = None) -> int:
         f"failures {rebuild['requests']['failures']}"
     )
     tree_dataset = california_like_poi(args.users, seed=args.seed)
-    tree, tree_graph = run_incremental(
+    tree, tree_engine = run_incremental(
         tree_dataset,
         build_wpg_fast(tree_dataset, delta, MAX_PEERS),
         config,
@@ -335,12 +355,16 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     graphs_equal = (
-        graph_equality_details(patched_graph, final_graph, "incremental", "rebuild")
+        graph_equality_details(
+            incremental_engine.graph, final_graph, "incremental", "rebuild"
+        )
         == []
     )
     tree_graphs_equal = (
-        graph_equality_details(tree_graph, final_graph, "tree", "rebuild") == []
+        graph_equality_details(tree_engine.graph, final_graph, "tree", "rebuild")
+        == []
     )
+    tree_equal = trees_equal(tree_engine.clustering.tree, final_graph)
     speedup = round(
         rebuild["maintenance_seconds"] / incremental["maintenance_seconds"], 2
     )
@@ -350,7 +374,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"maintenance speedup {speedup}x, graphs_equal={graphs_equal}, "
-        f"tree_graphs_equal={tree_graphs_equal}, defects={defects}"
+        f"tree_graphs_equal={tree_graphs_equal}, tree_equal={tree_equal}, "
+        f"defects={defects}"
     )
 
     payload = {
@@ -369,10 +394,11 @@ def main(argv: list[str] | None = None) -> int:
         "maintenance_speedup": speedup,
         "graphs_equal": graphs_equal,
         "tree_graphs_equal": tree_graphs_equal,
+        "tree_equal": tree_equal,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    clean = graphs_equal and tree_graphs_equal and defects == 0
+    clean = graphs_equal and tree_graphs_equal and tree_equal and defects == 0
     return 0 if clean else 1
 
 

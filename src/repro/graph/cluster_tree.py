@@ -6,11 +6,12 @@ throwaway object: pointer-chasing nodes without parent links, traversed
 from the root for every query and rebuilt from scratch per request.
 :class:`ClusterTree` is the persistent, query-oriented form:
 
-* one array-backed tree per connected component (parent/weight/size per
-  node, children in visit order, leaves as a contiguous slice of a
-  DFS-ordered vertex array), so a vertex's ancestor path is an O(depth)
-  walk — and depth is bounded by the number of distinct weight levels,
-  which mutual-rank WPG weights cap at ``max_peers``;
+* one array-backed tree per connected component (parent, weight, size,
+  subtree span and marked count per node in DFS preorder, leaves as a
+  contiguous slice of a leaf-ordered vertex array), so a vertex's
+  ancestor path is an O(depth) walk — and depth is bounded by the
+  number of distinct weight levels, which mutual-rank WPG weights cap
+  at ``max_peers``;
 * per-vertex *minimum-MEW k-cluster* lookup
   (:meth:`smallest_valid_cluster`): the lowest ancestor with >= k
   leaves.  By the minimax-path property this is exactly the level-scan
@@ -63,15 +64,26 @@ pass derives every component tree of a vertex scope from them.
    Python loop: a linked-list union-find).
 4. The same Borůvka contraction ranked by *descending* key yields the
    level's slice of the constrained Kruskal forest.
-5. Subtree sizes, sibling offsets and preorder indices are prefix sums
-   per level (:func:`_tree_columns`), and the columns are sliced into
-   one :class:`_ComponentTree` per component, with marked counters as
-   prefix sums over leaf order.
+5. Subtree sizes and spans, sibling offsets and preorder indices are
+   prefix sums per level (:func:`_tree_columns`).  Each component then
+   takes a copy of its slice of those columns, with marked counters as
+   prefix sums over leaf order and its forest edges as CSR rows over
+   leaf positions, into one :class:`_ComponentTree`.
 
 No dendrogram node objects, edge objects or subgraph copies are made.
 The result equals ``single_linkage_dendrogram`` column for column,
 child order included (pinned by ``tests/test_cluster_tree.py`` against
 :func:`repro.verify.oracles.oracle_tree_columns`).
+
+**Storage** is numpy columns and no Python object per node or vertex.
+A component tree holds about ten arrays of its own (copies, never views
+of a build's columns, so a surviving component keeps none of its build
+alive); children are implicit in the preorder spans, and the vertex ->
+(component, leaf node) lookup is two dense arrays over the tree's
+vertex indices.  The request path reads the arrays in place and pays in
+proportion to the node it reaches: a leaf slice for its leaves, its
+preorder range for a strict cut, the CSR rows of a piece's leaf range
+for a greedy refinement, one ``np.add.at`` per tree level for a mark.
 
 **Churn** (:meth:`apply_patch`): the edge columns are patched from the
 patch's changed edges, with the new weights read off the live graph,
@@ -84,10 +96,11 @@ the tree is bit-identical to a fresh build over the patched graph — the
 ``cluster-tree-equal`` fuzz invariant checks exactly that.
 
 The tree is *eager*: :meth:`apply_patch` lays every rebuilt component
-out in full, so requests never pay for construction.  A labels-only
-tree that lays nodes out on demand would make patches cheaper still,
-but the request that first reaches a large node would then build it —
-about 0.4 s for a 40k-user component of a 50k-user WPG.
+out in full, so requests never pay for construction.  Laying the arrays
+out is cheap enough to do for every rebuilt component; turning them
+into per-node Python lists on first read instead would charge the
+request that first reaches a large node, about 0.17 s for the 40k-user
+component of a 50k-user WPG.
 
 Node handles are ``(component id, node index)`` pairs; they are
 invalidated for rebuilt components by :meth:`apply_patch` (their
@@ -96,8 +109,7 @@ component id disappears), never silently reused.
 
 from __future__ import annotations
 
-from itertools import chain, islice
-from operator import add
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 import numpy as np
@@ -113,11 +125,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 NodeRef = tuple[int, int]
 
 
-def _is_cut(
-    x: int, y: int, parent: dict[int, int], tops: set[int]
-) -> bool:
+def _is_cut(x: int, y: int, parent: list[int], top: list[bool]) -> bool:
     """Whether tree edge (x, y) has been cut (its child endpoint is a top)."""
-    return (parent[y] == x and y in tops) or (parent[x] == y and x in tops)
+    return (parent[y] == x and top[y]) or (parent[x] == y and top[x])
 
 
 # -- the array-native builder ----------------------------------------------------
@@ -222,10 +232,11 @@ def _tree_columns(
     vertices, internal nodes follow in creation order (so a child's id
     is always below its parent's).  Returns, over all nodes in global
     preorder (components contiguous, ordered by smallest vertex):
-    ``parent`` (component-local, -1 at roots), ``weight``, ``size`` and
-    ``leaf_lo`` (component-local) plus the global ``leaf_at``; over leaf
-    positions, ``leaf_vertex`` and its component-local ``leaf_node``;
-    per component, ``node_start``/``node_count`` and
+    ``parent`` (component-local, -1 at roots), ``weight``, ``size``,
+    ``span`` (the subtree's node count) and ``leaf_lo`` (component-local)
+    plus the global ``leaf_at``; over leaf positions, ``leaf_vertex``
+    and its component-local ``leaf_node``; per component,
+    ``node_start``/``node_count`` and
     ``leaf_start``/``leaf_count``; and ``forest``, the constrained
     Kruskal forest's edge indices in acceptance order.
     """
@@ -297,6 +308,7 @@ def _tree_columns(
         "parent": local_parent,
         "weight": weight[at],
         "size": leaves[at],
+        "span": nodes[at],
         "leaf_at": lo[at],
         "leaf_lo": lo[at] - np.repeat(leaf_start, node_count),
         "leaf_vertex": leaf_vertex,
@@ -311,260 +323,144 @@ def _tree_columns(
     }
 
 
-class _ComponentTree:
-    """The array form of one component's dendrogram (internal).
+def _under(flags: np.ndarray, span: np.ndarray) -> np.ndarray:
+    """Per node of a preorder range: is it in a flagged node's subtree?
 
-    Nodes are stored in DFS preorder, so every node's leaves occupy the
-    contiguous slice ``leaf_order[leaf_lo[i]:leaf_hi[i]]``.  Parent
-    weights strictly increase along every root path (the dendrogram's
-    level flattening), which the ancestor walks rely on.
+    ``span`` holds each node's subtree node count, so node ``j``'s
+    subtree is ``[j, j + span[j])`` and a node is covered iff some
+    flagged node at or before it reaches past it (itself included).
+    """
+    position = np.arange(len(flags))
+    reach = np.maximum.accumulate(np.where(flags, position + span, 0))
+    return reach > position
+
+
+class _ComponentTree:
+    """One component's dendrogram as numpy columns it owns (internal).
+
+    Nodes are stored in DFS preorder, so node ``i``'s subtree is the
+    index range ``[i, i + span[i])``: its children are ``i + 1`` and then
+    each next sibling at ``child + span[child]``, up to ``i + span[i]``;
+    its leaves are the contiguous slice ``leaf_order[leaf_lo[i]:
+    leaf_lo[i] + size[i]]``.  Parent weights strictly increase along
+    every root path (the dendrogram's level flattening), which the
+    ancestor walks rely on.  ``marked_below`` counts each node's marked
+    leaves.  The component's constrained Kruskal forest is CSR over
+    leaf positions: position ``p``'s edges, in acceptance order, lead to
+    the positions ``forest_to[forest_ptr[p]:forest_ptr[p + 1]]``, with
+    weights ``forest_w`` at the same offsets.
+
+    Every array is a copy, never a view of the build's columns, so a
+    component that survives a patch keeps none of its build alive.  The
+    memo dict (strict cuts, isolation bits, node partitions and
+    refinements) is made on first use.
     """
 
     __slots__ = (
         "parent",
         "weight",
         "size",
-        "children",
+        "span",
         "leaf_lo",
-        "leaf_hi",
-        "leaf_order",
-        "leaf_node",
         "marked_below",
-        "cut_memo",
-        "anc_ok_memo",
-        "partition_memo",
-        "refine_memo",
+        "leaf_order",
+        "forest_ptr",
+        "forest_to",
+        "forest_w",
+        "_memo",
     )
 
-    @classmethod
-    def _from_arrays(
-        cls,
-        parent: list[int],
-        weight: list[float],
-        size: list[int],
-        leaf_lo: list[int],
-        leaf_order: list[int],
-        leaf_nodes: list[int],
-        marked_below: list[int],
-    ) -> "_ComponentTree":
-        """A component tree from its preorder columns (adopted, not copied).
+    def __init__(
+        self,
+        nodes: list[np.ndarray],
+        leaf_order: np.ndarray,
+        forest: tuple[np.ndarray, np.ndarray, np.ndarray],
+    ) -> None:
+        """Adopt the preorder ``nodes`` columns (parent, weight, size,
+        span, leaf_lo, marked_below), the leaf order and the forest CSR
+        (ptr, to, weights)."""
+        (
+            self.parent,
+            self.weight,
+            self.size,
+            self.span,
+            self.leaf_lo,
+            self.marked_below,
+        ) = nodes
+        self.leaf_order = leaf_order
+        self.forest_ptr, self.forest_to, self.forest_w = forest
+        self._memo: Optional[dict] = None
 
-        ``leaf_nodes[j]`` is the node index of ``leaf_order[j]``.  The
-        rest is derived from the preorder layout: children are the nodes
-        naming ``i`` as parent in ascending index (visit order), and
-        ``leaf_hi = leaf_lo + size``.  Memos start empty.
-        """
-        tree = cls.__new__(cls)
-        tree.parent = parent
-        tree.weight = weight
-        tree.size = size
-        tree.leaf_lo = leaf_lo
-        tree.leaf_hi = list(map(add, leaf_lo, size))
-        tree.leaf_order = leaf_order
-        children: list[list[int]] = [[] for _ in parent]
-        for index in range(1, len(parent)):  # node 0 is the root
-            children[parent[index]].append(index)
-        tree.children = children
-        tree.leaf_node = dict(zip(leaf_order, leaf_nodes))
-        tree.marked_below = marked_below
-        #: k -> node indices of the strict Algorithm 1 cut.
-        tree.cut_memo: dict[int, list[int]] = {}
-        #: k -> per-node "every ancestor's off-path siblings are >= k".
-        tree.anc_ok_memo: dict[int, list[bool]] = {}
-        #: (node, k, method) -> step-3 partition clusters, in order.
-        tree.partition_memo: dict[
-            tuple[int, int, str], tuple[frozenset[int], ...]
-        ] = {}
-        #: (cut-piece node, k) -> its greedy refinement, in order.  Cut
-        #: pieces are tree nodes shared by every ancestor's partition,
-        #: so this memo dedupes across overlapping node partitions.
-        tree.refine_memo: dict[tuple[int, int], tuple[frozenset[int], ...]] = {}
-        return tree
+    def memo(self) -> dict:
+        """Query memos, keyed ``("cut", k)``, ``("anc_ok", k)``,
+        ``("partition", node, k, method)`` and ``("refine", piece, k)``.
+        Refinements are kept per cut piece: pieces are tree nodes shared
+        by every ancestor's partition, so they dedupe across overlapping
+        node partitions."""
+        if self._memo is None:
+            self._memo = {}
+        return self._memo
 
     def leaves(self, index: int) -> list[int]:
-        return self.leaf_order[self.leaf_lo[index] : self.leaf_hi[index]]
+        lo = self.leaf_lo[index]
+        return self.leaf_order[lo : lo + self.size[index]].tolist()
 
     def strict_cut(self, k: int) -> list[int]:
         """Node indices of the strict partition (memoized per k)."""
-        memo = self.cut_memo.get(k)
-        if memo is not None:
-            return memo
-        cut = self.strict_cut_below(0, k)
-        self.cut_memo[k] = cut
+        memo = self.memo()
+        cut = memo.get(("cut", k))
+        if cut is None:
+            cut = memo[("cut", k)] = self.strict_cut_below(0, k)
         return cut
 
     def strict_cut_below(self, index: int, k: int) -> list[int]:
         """Strict-cut node indices of the subtree rooted at ``index``.
 
-        The same stack mechanics — and therefore the same output order —
-        as :func:`repro.graph.dendrogram.cut_smallest_valid` applied to
-        the node's induced subgraph.
+        A node is cut when it is a leaf or has a child below k leaves,
+        and no proper ancestor inside the subtree is cut.  The output
+        order is that of :func:`repro.graph.dendrogram.cut_smallest_valid`
+        applied to the node's induced subgraph: its stack walk pushes
+        children in visit order and so pops the last child's subtree
+        first, which emits disjoint cut nodes in descending preorder.
         """
-        cut: list[int] = []
-        stack = [index]
-        while stack:
-            node = stack.pop()
-            kids = self.children[node]
-            if not kids or any(self.size[c] < k for c in kids):
-                cut.append(node)
-            else:
-                stack.extend(kids)
-        return cut
+        end = index + int(self.span[index])
+        if end == index + 1:
+            return [index]
+        span = self.span[index:end]
+        cut = span == 1
+        parent = self.parent[index + 1 : end] - index
+        cut[parent[self.size[index + 1 : end] < k]] = True
+        # Nothing below a cut node is cut: a node whose parent lies in a
+        # cut node's subtree drops out.
+        cut[1:] &= ~_under(cut, span)[parent]
+        return (np.flatnonzero(cut)[::-1] + index).tolist()
 
-    def anc_ok(self, k: int) -> list[bool]:
-        """Per-node Property 4.1 bit (memoized per k): see ClusterTree."""
-        memo = self.anc_ok_memo.get(k)
-        if memo is not None:
-            return memo
-        ok = [False] * len(self.parent)
-        ok[0] = True  # the root has no proper ancestors
-        stack = [0]
-        while stack:
-            index = stack.pop()
-            kids = self.children[index]
-            if not kids:
-                continue
-            below_k = [c for c in kids if self.size[c] < k]
-            for child in kids:
-                off_path_ok = not below_k or (
-                    len(below_k) == 1 and below_k[0] == child
-                )
-                ok[child] = ok[index] and off_path_ok
-            stack.extend(kids)
-        self.anc_ok_memo[k] = ok
+    def anc_ok(self, k: int) -> np.ndarray:
+        """Per-node Property 4.1 bit (memoized per k): see ClusterTree.
+
+        A node is OK iff no node on its path below the root has an
+        undersized sibling, i.e. it lies in no such node's subtree.
+        """
+        memo = self.memo()
+        ok = memo.get(("anc_ok", k))
+        if ok is None:
+            small = self.size < k
+            parent = self.parent[1:]
+            undersized = np.bincount(parent[small[1:]], minlength=len(small))
+            blocked = np.zeros(len(small), dtype=bool)
+            blocked[1:] = undersized[parent] > small[1:]
+            ok = memo[("anc_ok", k)] = ~_under(blocked, self.span)
         return ok
 
-
-class ClusterTree:
-    """Bottleneck cluster tree of ``graph`` (see module docstring).
-
-    The tree keeps a reference to ``graph`` — the same live object the
-    engine patches in place under churn — and reads it only for its
-    edge columns at construction and, in :meth:`apply_patch`, for the
-    new weights of the changed edges.
-    """
-
-    def __init__(self, graph: WeightedProximityGraph) -> None:
-        self._graph = graph
-        self._components: dict[int, _ComponentTree] = {}
-        self._component_of: dict[int, int] = {}
-        self._next_id = 0
-        self._marked: set[int] = set()
-        self._forest_adj: dict[int, list[tuple[int, float]]] = {}
-        ids, us, vs, ws = graph.edge_columns()
-        #: Vertex ids ascending; edges are keyed by dense index a * n + b.
-        self._ids = ids
-        self._keys = self._index(us) * len(ids) + self._index(vs)
-        self._weights = ws
-        #: The component id of every dense index (the array twin of
-        #: ``_component_of``, for the patch path).
-        self._component = np.zeros(len(ids), dtype=np.int64)
-        self._build(np.arange(len(ids)))
-
-    def _index(self, vertices: np.ndarray) -> np.ndarray:
-        """Dense indices of vertex ids (GraphError for unknown ids)."""
-        index = np.searchsorted(self._ids, vertices)
-        if len(vertices) and (
-            index.max() >= len(self._ids)
-            or not np.array_equal(self._ids[index], vertices)
-        ):
-            raise GraphError("unknown vertex in cluster-tree edges")
-        return index
-
-    def _build(self, scope: np.ndarray) -> None:
-        """Lay out the component trees and forest slice over ``scope``.
-
-        ``scope`` holds ascending dense vertex indices and is closed
-        under edges (it is a union of whole components).  New components
-        are adopted in ascending smallest-vertex order.
-        """
-        n, m = len(self._ids), len(scope)
-        if m == n:
-            a, b = np.divmod(self._keys, max(n, 1))
-            w = self._weights
-        else:
-            inside = np.zeros(n, dtype=bool)
-            inside[scope] = True
-            a = self._keys // n
-            chosen = np.flatnonzero(inside[a])
-            local = np.zeros(n, dtype=np.int64)
-            local[scope] = np.arange(m)
-            a = local[a[chosen]]
-            b = local[self._keys[chosen] % n]
-            w = self._weights[chosen]
-        vertex = self._ids[scope]
-        cols = _tree_columns(m, a, b, w)
-
-        # Marked counters: prefix sums of the marked flags in leaf order.
-        leaf_ids = vertex[cols["leaf_vertex"]]
-        flags = np.isin(
-            leaf_ids,
-            np.fromiter(self._marked, dtype=np.int64, count=len(self._marked)),
-        )
-        prefix = np.concatenate(([0], np.cumsum(flags)))
-        at = cols["leaf_at"]
-        marked = (prefix[at + cols["size"]] - prefix[at]).tolist()
-
-        parent = cols["parent"].tolist()
-        weight = cols["weight"].tolist()
-        size = cols["size"].tolist()
-        leaf_lo = cols["leaf_lo"].tolist()
-        leaf_order = leaf_ids.tolist()
-        leaf_node = cols["leaf_node"].tolist()
-        first_id = self._next_id
-        for lo, count, leaf_start, leaf_count in zip(
-            cols["node_start"].tolist(),
-            cols["node_count"].tolist(),
-            cols["leaf_start"].tolist(),
-            cols["leaf_count"].tolist(),
-        ):
-            hi, leaf_end = lo + count, leaf_start + leaf_count
-            self._components[self._next_id] = _ComponentTree._from_arrays(
-                parent[lo:hi],
-                weight[lo:hi],
-                size[lo:hi],
-                leaf_lo[lo:hi],
-                leaf_order[leaf_start:leaf_end],
-                leaf_node[leaf_start:leaf_end],
-                marked[lo:hi],
-            )
-            self._next_id += 1
-        comp_ids = np.repeat(
-            np.arange(first_id, self._next_id), cols["leaf_count"]
-        )
-        self._component[scope[cols["leaf_vertex"]]] = comp_ids
-        self._component_of.update(zip(leaf_order, comp_ids.tolist()))
-
-        # The forest slice: every scope vertex's accepted edges, in
-        # acceptance order (ascending weight, descending key).
-        forest = cols["forest"]
-        ends = np.concatenate((a[forest], b[forest]))
-        others = np.concatenate((b[forest], a[forest]))
-        rank = np.tile(np.arange(len(forest)), 2)
-        grouped = np.lexsort((rank, ends))
-        degree = np.bincount(ends, minlength=m).tolist()
-        targets = iter(vertex[others[grouped]].tolist())
-        weights = iter(np.tile(w[forest], 2)[grouped].tolist())
-        # Every old list is freed before the first new one is made.
-        # Replacing entries one by one would recycle each freed list and
-        # tuple through CPython's free lists, which bypass the allocation
-        # count that schedules garbage collection: ~10^5 new objects
-        # would then wait in the youngest generation for a later request
-        # to pay for collecting them.
-        adjacency = self._forest_adj
-        scope_ids = vertex.tolist()
-        adjacency.update(dict.fromkeys(scope_ids))
-        for v, count in zip(scope_ids, degree):
-            adjacency[v] = list(zip(islice(targets, count), islice(weights, count)))
-
-    def _forest_refine(self, leaves: list[int], k: int) -> list[set[int]]:
-        """Greedy refinement of a tree node's leaves over its forest slice.
+    def forest_refine(self, piece: int, k: int) -> tuple[frozenset[int], ...]:
+        """Greedy refinement of node ``piece``'s leaves over its forest slice.
 
         Every node is a t-component, so all edges leaving it are heavier
         than all edges inside it; the forest scan spans the node before
         touching any outgoing edge, and the restriction is a spanning
-        tree of the leaves.  On a spanning tree every removal
-        disconnects, so the literal pass-until-fixpoint
+        tree of the leaves: the CSR rows of the piece's leaf range, minus
+        the edges whose far end falls outside that range.  On a spanning
+        tree every removal disconnects, so the literal pass-until-fixpoint
         (:func:`repro.verify.oracles.oracle_greedy_partition`) collapses
         to: accept the first edge in removal order whose two
         sides both hold >= k vertices, recurse into the sides, and a
@@ -588,84 +484,95 @@ class ClusterTree:
         pop — is the post-order of the split recursion, where each
         component splits at its minimum removal-order cut; it is rebuilt
         by merging the final components over the cut edges in reverse.
+        The scan runs on positions ``0..count-1`` within the piece's leaf
+        range; vertex ids only order the edges and name the groups.
         """
-        members = set(leaves)
-        adjacency: dict[int, list[int]] = {vertex: [] for vertex in leaves}
-        edges: list[tuple[float, int, int]] = []
-        for u in leaves:
-            for v, weight in self._forest_adj[u]:
-                if v in members:
-                    adjacency[u].append(v)
-                    if u < v:
-                        edges.append((weight, u, v))
-        edges.sort(key=lambda edge: (-edge[0], edge[1], edge[2]))
+        lo, count = int(self.leaf_lo[piece]), int(self.size[piece])
+        ids = self.leaf_order[lo : lo + count]
+        ptr = self.forest_ptr[lo : lo + count + 1]
+        rows = np.repeat(np.arange(count), np.diff(ptr))
+        to = self.forest_to[ptr[0] : ptr[-1]] - lo
+        weight = self.forest_w[ptr[0] : ptr[-1]]
+        inside = (to >= 0) & (to < count)
+        rows, to, weight = rows[inside], to[inside], weight[inside]
+        first = np.searchsorted(rows, np.arange(count + 1)).tolist()
+        adjacency = to.tolist()
+        # Each edge once, u < v by vertex id, in removal order:
+        # descending weight, then ascending (u, v).
+        once = ids[rows] < ids[to]
+        us, vs = rows[once], to[once]
+        order = np.lexsort((ids[vs], ids[us], -weight[once]))
 
         # Root the spanning tree once; subtree sizes seed the running
         # "my subtree, within my current component" counters.
-        root = leaves[0]
-        parent = {root: root}
-        order = [root]
-        for vertex in order:  # grows while iterating: a BFS
-            for neighbor in adjacency[vertex]:
-                if neighbor not in parent:
-                    parent[neighbor] = vertex
-                    order.append(neighbor)
-        size_cur = dict.fromkeys(members, 1)
-        for vertex in reversed(order[1:]):
-            size_cur[parent[vertex]] += size_cur[vertex]
+        parent = [-1] * count
+        parent[0] = 0
+        visit = [0]
+        for x in visit:  # grows while iterating: a BFS
+            for y in adjacency[first[x] : first[x + 1]]:
+                if parent[y] < 0:
+                    parent[y] = x
+                    visit.append(y)
+        size_cur = [1] * count
+        for x in reversed(visit[1:]):
+            size_cur[parent[x]] += size_cur[x]
 
-        comp = dict.fromkeys(members, 0)
-        comp_size = {0: len(members)}
-        next_id = 1
-        tops = {root}
+        comp = [0] * count
+        comp_size = [count]
+        top = [False] * count
+        top[0] = True
         cuts: list[tuple[int, int]] = []
-        for weight, u, v in edges:
+        for u, v in zip(us[order].tolist(), vs[order].tolist()):
             child, over = (v, u) if parent[v] == u else (u, v)
             child_side = size_cur[child]
             other_side = comp_size[comp[child]] - child_side
             if child_side < k or other_side < k:
                 continue
             cuts.append((u, v))
-            vertex = over
+            x = over
             while True:
-                size_cur[vertex] -= child_side
-                if vertex in tops:
+                size_cur[x] -= child_side
+                if top[x]:
                     break
-                vertex = parent[vertex]
-            tops.add(child)
-            old = comp[child]
+                x = parent[x]
+            top[child] = True
+            old, new = comp[child], len(comp_size)
             if child_side <= other_side:
                 seed, seed_size = child, child_side
             else:
                 seed, seed_size = over, other_side
             comp_size[old] -= seed_size
-            comp_size[next_id] = seed_size
-            comp[seed] = next_id
+            comp_size.append(seed_size)
+            comp[seed] = new
             stack = [seed]
             while stack:
                 x = stack.pop()
-                for y in adjacency[x]:
-                    if comp[y] == old and not _is_cut(x, y, parent, tops):
-                        comp[y] = next_id
+                for y in adjacency[first[x] : first[x + 1]]:
+                    if comp[y] == old and not _is_cut(x, y, parent, top):
+                        comp[y] = new
                         stack.append(y)
-            next_id += 1
 
         if not cuts:
-            return [members]
-        groups: dict[int, set[int]] = {}
-        for vertex in members:
-            groups.setdefault(comp[vertex], set()).add(vertex)
+            return (frozenset(ids.tolist()),)
+        labels = np.array(comp)
+        grouped = np.argsort(labels, kind="stable")
+        bounds = np.searchsorted(labels[grouped], np.arange(len(comp_size) + 1))
+        members = ids[grouped].tolist()
+        groups = [
+            frozenset(members[start:stop])
+            for start, stop in zip(bounds[:-1].tolist(), bounds[1:].tolist())
+        ]
         # Reverse merge: at each cut's turn all later cuts are merged,
         # so its two trees are exactly the split recursion's children.
-        forest = UnionFind(groups)
-        node_of: dict[int, object] = {cid: cid for cid in groups}
+        forest = UnionFind(range(len(groups)))
+        node_of: dict[int, object] = {label: label for label in range(len(groups))}
         for u, v in reversed(cuts):
             side_u, side_v = forest.find(comp[u]), forest.find(comp[v])
             node = (node_of.pop(side_u), node_of.pop(side_v))
             forest.union(side_u, side_v)
             node_of[forest.find(side_u)] = node
-        result: list[set[int]] = []
-        stack_nodes: list[object] = [node_of[forest.find(comp[root])]]
+        result: list[frozenset[int]] = []
+        stack_nodes: list[object] = [node_of[forest.find(comp[0])]]
         while stack_nodes:
             node = stack_nodes.pop()
             if isinstance(node, int):
@@ -674,12 +581,146 @@ class ClusterTree:
                 side_u, side_v = node
                 stack_nodes.append(side_u)  # far side (v's) emits first
                 stack_nodes.append(side_v)
-        return result
+        return tuple(result)
+
+
+class ClusterTree:
+    """Bottleneck cluster tree of ``graph`` (see module docstring).
+
+    The tree keeps a reference to ``graph`` — the same live object the
+    engine patches in place under churn — and reads it only for its
+    edge columns at construction and, in :meth:`apply_patch`, for the
+    new weights of the changed edges.
+    """
+
+    def __init__(self, graph: WeightedProximityGraph) -> None:
+        self._graph = graph
+        self._components: dict[int, _ComponentTree] = {}
+        self._next_id = 0
+        self._marked: set[int] = set()
+        ids, us, vs, ws = graph.edge_columns()
+        #: Vertex ids ascending; edges are keyed by dense index a * n + b.
+        self._ids = ids
+        #: Whether the ids are exactly 0..n-1 (each is its own index).
+        self._dense = not len(ids) or (ids[0] == 0 and ids[-1] == len(ids) - 1)
+        self._keys = self._index(us) * len(ids) + self._index(vs)
+        self._weights = ws
+        #: Per dense index: its component id, its leaf's node index in
+        #: that component's tree, and whether it is marked.
+        self._component = np.zeros(len(ids), dtype=np.int64)
+        self._leaf_node = np.zeros(len(ids), dtype=np.int64)
+        self._marked_at = np.zeros(len(ids), dtype=bool)
+        self._build(np.arange(len(ids)))
+
+    def _slots(self, vertices: np.ndarray) -> np.ndarray:
+        """Dense indices of vertex ids, -1 where the tree has no such id."""
+        if self._dense:
+            known = (vertices >= 0) & (vertices < len(self._ids))
+            return np.where(known, vertices, -1)
+        index = np.searchsorted(self._ids, vertices)
+        found = index < len(self._ids)
+        found[found] = self._ids[index[found]] == vertices[found]
+        return np.where(found, index, -1)
+
+    def _index(self, vertices: np.ndarray) -> np.ndarray:
+        """Dense indices of vertex ids (GraphError for unknown ids)."""
+        index = self._slots(vertices)
+        if (index < 0).any():
+            raise GraphError("unknown vertex in cluster-tree edges")
+        return index
+
+    def _slot(self, vertex: int) -> int:
+        """Dense index of one vertex id, -1 if the tree has no such id."""
+        count = len(self._ids)
+        if self._dense:
+            return vertex if 0 <= vertex < count else -1
+        index = int(np.searchsorted(self._ids, vertex))
+        return index if index < count and self._ids[index] == vertex else -1
+
+    def _build(self, scope: np.ndarray) -> None:
+        """Lay out the component trees over ``scope``.
+
+        ``scope`` holds ascending dense vertex indices and is closed
+        under edges (it is a union of whole components).  New components
+        are adopted in ascending smallest-vertex order, each with its
+        own copy of its slice of the columns.
+        """
+        n, m = len(self._ids), len(scope)
+        if m == n:
+            a, b = np.divmod(self._keys, max(n, 1))
+            w = self._weights
+        else:
+            inside = np.zeros(n, dtype=bool)
+            inside[scope] = True
+            a = self._keys // n
+            chosen = np.flatnonzero(inside[a])
+            local = np.zeros(n, dtype=np.int64)
+            local[scope] = np.arange(m)
+            a = local[a[chosen]]
+            b = local[self._keys[chosen] % n]
+            w = self._weights[chosen]
+        cols = _tree_columns(m, a, b, w)
+        leaf_vertex = cols["leaf_vertex"]
+        placed = scope[leaf_vertex]
+        leaf_ids = self._ids[placed]
+
+        # Marked counters: prefix sums of the marked flags in leaf order.
+        prefix = np.concatenate(([0], np.cumsum(self._marked_at[placed])))
+        at = cols["leaf_at"]
+        marked = prefix[at + cols["size"]] - prefix[at]
+
+        # The forest as CSR rows over leaf positions: every scope
+        # vertex's accepted edges, in acceptance order (ascending weight,
+        # descending key), pointing at component-local positions.
+        forest = cols["forest"]
+        position = np.empty(m, dtype=np.int64)
+        position[leaf_vertex] = np.arange(m)
+        ends = position[np.concatenate((a[forest], b[forest]))]
+        rank = np.tile(np.arange(len(forest)), 2)
+        grouped = np.lexsort((rank, ends))
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(ends, minlength=m))))
+        to = position[np.concatenate((b[forest], a[forest]))][grouped]
+        to -= np.repeat(cols["leaf_start"], cols["leaf_count"])[to]
+        to_weight = np.tile(w[forest], 2)[grouped]
+
+        node_columns = (
+            cols["parent"],
+            cols["weight"],
+            cols["size"],
+            cols["span"],
+            cols["leaf_lo"],
+            marked,
+        )
+        node_start, leaf_start = cols["node_start"], cols["leaf_start"]
+        leaf_end = leaf_start + cols["leaf_count"]
+        first_id = self._next_id
+        for lo, hi, first, last, edge_lo, edge_hi in zip(
+            node_start.tolist(),
+            (node_start + cols["node_count"]).tolist(),
+            leaf_start.tolist(),
+            leaf_end.tolist(),
+            ptr[leaf_start].tolist(),
+            ptr[leaf_end].tolist(),
+        ):
+            self._components[self._next_id] = _ComponentTree(
+                [column[lo:hi].copy() for column in node_columns],
+                leaf_ids[first:last].copy(),
+                (
+                    ptr[first : last + 1] - edge_lo,
+                    to[edge_lo:edge_hi].copy(),
+                    to_weight[edge_lo:edge_hi].copy(),
+                ),
+            )
+            self._next_id += 1
+        self._component[placed] = np.repeat(
+            np.arange(first_id, self._next_id), cols["leaf_count"]
+        )
+        self._leaf_node[placed] = cols["leaf_node"]
 
     # -- basic queries ---------------------------------------------------------
 
     def __contains__(self, vertex: int) -> bool:
-        return vertex in self._component_of
+        return self._slot(vertex) >= 0
 
     @property
     def component_count(self) -> int:
@@ -689,38 +730,40 @@ class ClusterTree:
     @property
     def vertex_count(self) -> int:
         """Number of vertices covered by the forest."""
-        return len(self._component_of)
+        return len(self._ids)
 
-    def _tree_of(self, vertex: int) -> tuple[int, _ComponentTree]:
-        comp_id = self._component_of.get(vertex)
-        if comp_id is None:
+    def _locate(self, vertex: int) -> tuple[int, _ComponentTree, int]:
+        """``vertex``'s component id, component tree and leaf node index."""
+        slot = self._slot(vertex)
+        if slot < 0:
             raise GraphError(f"unknown vertex {vertex}")
-        return comp_id, self._components[comp_id]
+        comp_id = int(self._component[slot])
+        return comp_id, self._components[comp_id], int(self._leaf_node[slot])
 
     def root_of(self, vertex: int) -> NodeRef:
         """The root node of ``vertex``'s component."""
-        comp_id, _tree = self._tree_of(vertex)
+        comp_id, _tree, _leaf = self._locate(vertex)
         return (comp_id, 0)
 
     def leaf_of(self, vertex: int) -> NodeRef:
         """The leaf node of ``vertex``."""
-        comp_id, tree = self._tree_of(vertex)
-        return (comp_id, tree.leaf_node[vertex])
+        comp_id, _tree, leaf = self._locate(vertex)
+        return (comp_id, leaf)
 
     def parent(self, node: NodeRef) -> Optional[NodeRef]:
         """The parent node, or None for a root."""
         comp_id, index = node
-        par = self._components[comp_id].parent[index]
+        par = int(self._components[comp_id].parent[index])
         return None if par < 0 else (comp_id, par)
 
     def size(self, node: NodeRef) -> int:
         """Number of leaves below ``node``."""
-        return self._components[node[0]].size[node[1]]
+        return int(self._components[node[0]].size[node[1]])
 
     def weight(self, node: NodeRef) -> float:
         """The node's merge weight: its component's MEW as a standalone
         cluster (the minimal t at which its leaves are t-connected)."""
-        return self._components[node[0]].weight[node[1]]
+        return float(self._components[node[0]].weight[node[1]])
 
     def leaves(self, node: NodeRef) -> frozenset[int]:
         """The vertices below ``node``."""
@@ -728,7 +771,7 @@ class ClusterTree:
 
     def marked_below(self, node: NodeRef) -> int:
         """How many of the node's leaves are marked."""
-        return self._components[node[0]].marked_below[node[1]]
+        return int(self._components[node[0]].marked_below[node[1]])
 
     # -- the per-vertex fast path ----------------------------------------------
 
@@ -739,12 +782,12 @@ class ClusterTree:
         cluster (Definition 4.1) and its weight the minimal connectivity
         t — the minimum-MEW k-cluster resolution, as one ancestor walk.
         """
-        comp_id, tree = self._tree_of(vertex)
-        index = tree.leaf_node[vertex]
+        comp_id, tree, index = self._locate(vertex)
+        size, parent = tree.size, tree.parent
         while index >= 0:
-            if tree.size[index] >= k:
-                return (comp_id, index)
-            index = tree.parent[index]
+            if size[index] >= k:
+                return (comp_id, int(index))
+            index = parent[index]
         return None
 
     def smallest_valid_cluster(
@@ -762,12 +805,12 @@ class ClusterTree:
         Parent weights strictly increase along the path, so the walk
         stops at the unique node whose parent (if any) merged above t.
         """
-        comp_id, tree = self._tree_of(vertex)
-        index = tree.leaf_node[vertex]
+        comp_id, tree, index = self._locate(vertex)
+        parent, weight = tree.parent, tree.weight
         while True:
-            par = tree.parent[index]
-            if par < 0 or tree.weight[par] > t:
-                return (comp_id, index)
+            par = parent[index]
+            if par < 0 or weight[par] > t:
+                return (comp_id, int(index))
             index = par
 
     def is_isolated(self, node: NodeRef, k: int) -> bool:
@@ -781,7 +824,7 @@ class ClusterTree:
         ``node``, which removal necessarily changes).
         """
         comp_id, index = node
-        return self._components[comp_id].anc_ok(k)[index]
+        return bool(self._components[comp_id].anc_ok(k)[index])
 
     # -- partitions (Algorithm 1) ----------------------------------------------
 
@@ -833,9 +876,10 @@ class ClusterTree:
           node's own subtree — the strict cut is
           :meth:`_ComponentTree.strict_cut_below`, no dendrogram build.
         * The greedy refinement of a >= 2k piece
-          (:meth:`_forest_refine`) runs over the piece's slice of the
-          persistent constrained Kruskal forest instead of the full
-          induced subgraph.  In the full pass, every non-forest edge is removed
+          (:meth:`_ComponentTree.forest_refine`) runs over the piece's
+          slice of the persistent constrained Kruskal forest instead of
+          the full induced subgraph.  In the full pass, every non-forest
+          edge is removed
           as a non-bridge the first time it is reached (its redundancy
           certificate — the forest path between its endpoints — lies
           strictly later in removal order, hence untouched), and every
@@ -857,26 +901,22 @@ class ClusterTree:
             )
         if method not in ("strict", "greedy"):
             raise ConfigurationError(f"unknown method {method!r}")
-        key = (index, k, method)
-        memo = tree.partition_memo.get(key)
-        if memo is not None:
-            return memo
+        memo = tree.memo()
+        key = ("partition", index, k, method)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
         groups: list[frozenset[int]] = []
         for piece in tree.strict_cut_below(index, k):
             if method == "strict" or tree.size[piece] < 2 * k:
                 groups.append(frozenset(tree.leaves(piece)))
                 continue
-            piece_key = (piece, k)
-            refined = tree.refine_memo.get(piece_key)
+            piece_key = ("refine", piece, k)
+            refined = memo.get(piece_key)
             if refined is None:
-                refined = tuple(
-                    frozenset(group)
-                    for group in self._forest_refine(tree.leaves(piece), k)
-                )
-                tree.refine_memo[piece_key] = refined
+                refined = memo[piece_key] = tree.forest_refine(piece, k)
             groups.extend(refined)
-        result = tuple(groups)
-        tree.partition_memo[key] = result
+        result = memo[key] = tuple(groups)
         return result
 
     # -- marked leaves (registry exclusions) -----------------------------------
@@ -887,19 +927,35 @@ class ClusterTree:
         return frozenset(self._marked)
 
     def mark(self, vertices: Iterable[int]) -> None:
-        """Flag ``vertices`` (assigned users) on every ancestor's counter."""
-        for vertex in vertices:
-            if vertex in self._marked:
-                continue
-            self._marked.add(vertex)
-            comp_id = self._component_of.get(vertex)
-            if comp_id is None:
-                continue
+        """Flag ``vertices`` (assigned users) on every ancestor's counter.
+
+        The new marks climb one tree level at a time per component;
+        siblings share their parent, so each level adds with
+        ``np.add.at``, which counts repeated indices.
+        """
+        fresh = set(vertices)
+        fresh -= self._marked
+        if not fresh:
+            return
+        self._marked |= fresh
+        slots = self._slots(np.fromiter(fresh, dtype=np.int64, count=len(fresh)))
+        slots = slots[slots >= 0]
+        self._marked_at[slots] = True
+        comps = self._component[slots]
+        order = np.argsort(comps, kind="stable")
+        comps, nodes = comps[order], self._leaf_node[slots[order]]
+        starts = np.flatnonzero(np.diff(comps, prepend=-1))
+        for comp_id, lo, hi in zip(
+            comps[starts].tolist(),
+            starts.tolist(),
+            np.append(starts[1:], len(comps)).tolist(),
+        ):
             tree = self._components[comp_id]
-            index = tree.leaf_node[vertex]
-            while index >= 0:
-                tree.marked_below[index] += 1
+            index = nodes[lo:hi]
+            while index.size:
+                np.add.at(tree.marked_below, index, 1)
                 index = tree.parent[index]
+                index = index[index >= 0]
 
     # -- churn maintenance -----------------------------------------------------
 
@@ -956,12 +1012,10 @@ class ClusterTree:
         component-id-free description of the forest, used by the fuzz
         invariant to compare a patched tree against a fresh build."""
         for tree in self._components.values():
-            for index in range(len(tree.parent)):
-                yield (
-                    tree.weight[index],
-                    tree.size[index],
-                    tuple(sorted(tree.leaves(index))),
-                )
+            for index, (weight, size) in enumerate(
+                zip(tree.weight.tolist(), tree.size.tolist())
+            ):
+                yield weight, size, tuple(sorted(tree.leaves(index)))
 
     def component_columns(
         self,
@@ -971,9 +1025,23 @@ class ClusterTree:
         which :func:`repro.verify.oracles.oracle_tree_columns` rebuilds
         from the dendrogram."""
         for tree in self._components.values():
-            yield tree.parent, tree.weight, tree.size, tree.leaf_lo, tree.leaf_order
+            yield (
+                tree.parent.tolist(),
+                tree.weight.tolist(),
+                tree.size.tolist(),
+                tree.leaf_lo.tolist(),
+                tree.leaf_order.tolist(),
+            )
 
     def forest_neighbors(self, vertex: int) -> list[tuple[int, float]]:
         """``vertex``'s constrained Kruskal forest edges as ``(neighbor,
         weight)``, in acceptance order."""
-        return list(self._forest_adj[vertex])
+        _comp_id, tree, leaf = self._locate(vertex)
+        position = tree.leaf_lo[leaf]
+        lo, hi = tree.forest_ptr[position], tree.forest_ptr[position + 1]
+        return list(
+            zip(
+                tree.leaf_order[tree.forest_to[lo:hi]].tolist(),
+                tree.forest_w[lo:hi].tolist(),
+            )
+        )

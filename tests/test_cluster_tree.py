@@ -10,11 +10,13 @@ and compare node signatures against a from-scratch build.
 
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
 
 from repro.datasets import uniform_points
+from repro.datasets.california import california_like_poi
 from repro.errors import GraphError
 from repro.geometry.point import Point
 from repro.graph.build import build_wpg_fast
@@ -307,7 +309,8 @@ def test_layout_stays_exact_under_churn():
 
 
 def test_patch_rebuilds_exactly_the_stale_components():
-    """Untouched component trees survive a patch as the same objects."""
+    """Untouched component trees survive a patch as the same objects,
+    with the same arrays and the same memos."""
     rng = random.Random(11)
     dataset = uniform_points(60, seed=3)
     graph = build_wpg_fast(dataset, 0.12, 4)
@@ -315,7 +318,11 @@ def test_patch_rebuilds_exactly_the_stale_components():
     runtime = IncrementalWPG(grid, 0.12, 4, graph=graph)
     tree = ClusterTree(graph)
     for _batch in range(4):
-        before = dict(tree._components)
+        tree.greedy_partition(2)  # fills every component's memos
+        before = {
+            comp_id: (component, component.parent, component.memo())
+            for comp_id, component in tree._components.items()
+        }
         patch = runtime.apply_moves(
             [(rng.randrange(60), Point(rng.random(), rng.random()))]
         )
@@ -325,8 +332,110 @@ def test_patch_rebuilds_exactly_the_stale_components():
             for vertex in edge
         }
         assert tree.apply_patch(patch) == len(stale)
-        for comp_id, component in before.items():
+        for comp_id, (component, parent, memo) in before.items():
             if comp_id in stale:
                 assert comp_id not in tree._components
             else:
                 assert tree._components[comp_id] is component
+                assert component.parent is parent
+                assert component.memo() is memo
+                assert ("cut", 2) in memo
+
+
+# -- marks and memory ----------------------------------------------------------
+
+
+def assert_marks_match_definition(tree: ClusterTree, marked: set, tag):
+    """Every node's counter is the number of marked vertices among its
+    leaves, and ``marked`` is exactly what was marked."""
+    assert tree.marked == frozenset(marked), tag
+    for cols in tree.component_columns():
+        comp_id = tree.root_of(cols[4][0])[0]
+        for index in range(len(cols[0])):
+            node = (comp_id, index)
+            assert tree.marked_below(node) == len(tree.leaves(node) & marked), (
+                tag,
+                node,
+            )
+
+
+def test_mark_counts_match_their_definition_under_churn():
+    """Overlapping mark batches (whole nodes, so siblings share parents;
+    repeated and already-marked vertices; an unknown id), interleaved
+    with patches that rebuild the marked components."""
+    for seed in range(6):
+        rng = random.Random(4000 + seed)
+        n = rng.randint(30, 70)
+        dataset = uniform_points(n, seed=70 + seed)
+        graph = build_wpg_fast(dataset, 0.2, 4)
+        grid = GridIndex(list(dataset), cell_size=0.2)
+        runtime = IncrementalWPG(grid, 0.2, 4, graph=graph)
+        tree = ClusterTree(graph)
+        marked: set = set()
+        for step in range(8):
+            node = tree.node_at(rng.randrange(n), rng.choice([1.0, 2.0, 4.0]))
+            batch = list(tree.leaves(node))[: rng.randint(2, 12)]
+            batch += rng.sample(range(n), 3)
+            batch += rng.sample(sorted(marked), min(3, len(marked)))
+            batch += batch[:2]
+            if step == 3:
+                batch.append(10 * n)  # no such vertex: recorded, never counted
+            rng.shuffle(batch)
+            tree.mark(batch)
+            marked.update(batch)
+            assert_marks_match_definition(tree, marked, (seed, step, "mark"))
+            moves = [
+                (user, Point(rng.random(), rng.random()))
+                for user in rng.sample(range(n), rng.randint(1, 5))
+            ]
+            tree.apply_patch(runtime.apply_moves(moves))
+            assert_marks_match_definition(tree, marked, (seed, step, "patch"))
+
+
+def _tracked_objects_added(action) -> int:
+    """Net garbage-collector-tracked objects left behind by ``action``."""
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        action()
+        return len(gc.get_objects()) - before
+    finally:
+        gc.enable()
+
+
+def test_tree_footprint_is_per_component_not_per_vertex():
+    """A build or a patch leaves a small constant of Python containers
+    per component it lays out, none per vertex or node: the tree lives
+    in numpy arrays, which the collector does not track."""
+    users = 3000
+    delta = 2e-3 * (104_770 / users) ** 0.5
+    dataset = california_like_poi(users, seed=5)
+    graph = build_wpg_fast(dataset, delta, 10)
+    grid = GridIndex(list(dataset), cell_size=delta)
+    runtime = IncrementalWPG(grid, delta, 10, graph=graph)
+    rng = random.Random(8)
+
+    def patch():
+        return runtime.apply_moves(
+            [
+                (user, Point(rng.random(), rng.random()))
+                for user in sorted(rng.sample(range(users), 30))
+            ]
+        )
+
+    # Warm-up: numpy imports some modules on first use of a function.
+    ClusterTree(graph).apply_patch(patch())
+    holder: list[ClusterTree] = []
+    added = _tracked_objects_added(lambda: holder.append(ClusterTree(graph)))
+    tree = holder[0]
+    assert tree.component_count > 100
+    assert added <= 2 * tree.component_count + 20, (added, tree.component_count)
+
+    churn = patch()
+    count = tree.component_count
+    rebuilt: list[int] = []
+    added = _tracked_objects_added(lambda: rebuilt.append(tree.apply_patch(churn)))
+    built = tree.component_count - count + rebuilt[0]
+    assert rebuilt[0] > 0
+    assert added <= 2 * built + 20, (added, built)
