@@ -16,7 +16,7 @@ from repro.analysis.reporting import format_table
 from repro.clustering.distributed import DistributedClustering
 from repro.datasets import california_like_poi
 from repro.experiments.workloads import sample_hosts
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 
 USERS = 6000
 K = 10
@@ -24,7 +24,7 @@ K = 10
 
 def test_closure_cost_blowup(benchmark, results_dir):
     dataset = california_like_poi(USERS, seed=3)
-    graph = build_wpg(dataset, delta=2e-3 * (104770 / USERS) ** 0.5, max_peers=10)
+    graph = build_wpg_fast(dataset, delta=2e-3 * (104770 / USERS) ** 0.5, max_peers=10)
     hosts = sample_hosts(graph, K, 150, seed=9)
 
     def run(closure):

@@ -18,7 +18,7 @@ from conftest import record
 from repro.analysis.reporting import format_table
 from repro.clustering.centralized import greedy_partition, strict_partition
 from repro.datasets import california_like_poi
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.verify.oracles import oracle_strict_partition
 
 USERS = 4000
@@ -27,7 +27,7 @@ K = 10
 
 def _graph():
     dataset = california_like_poi(USERS, seed=3)
-    return build_wpg(dataset, delta=2e-3 * (104770 / USERS) ** 0.5, max_peers=10)
+    return build_wpg_fast(dataset, delta=2e-3 * (104770 / USERS) ** 0.5, max_peers=10)
 
 
 def test_kernel_vs_literal_strict(benchmark, results_dir):

@@ -1,17 +1,14 @@
 """Figure 12: clustering performance under various request counts S."""
 
-from conftest import BENCH_REQUESTS, record
+from conftest import record
 
 from repro.experiments.fig12_requests import run_fig12
 
 
 def test_fig12_requests(benchmark, setup, results_dir):
-    s_values = tuple(
-        max(BENCH_REQUESTS // 2, 10) * factor for factor in (1, 2, 4, 8)
-    )
     result = benchmark.pedantic(
         run_fig12,
-        kwargs={"setup": setup, "s_values": s_values},
+        kwargs={"setup": setup},
         rounds=1,
         iterations=1,
     )

@@ -14,7 +14,7 @@ from repro.clustering.distributed import DistributedClustering
 from repro.config import SimulationConfig
 from repro.datasets import california_like_poi
 from repro.experiments.workloads import sample_hosts
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.dendrogram import single_linkage_dendrogram
 
 USERS = 6000
@@ -28,12 +28,12 @@ def dataset():
 
 @pytest.fixture(scope="module")
 def graph(dataset):
-    return build_wpg(dataset, DELTA, 10)
+    return build_wpg_fast(dataset, DELTA, 10)
 
 
 def test_wpg_build(benchmark, dataset):
     graph = benchmark.pedantic(
-        build_wpg, args=(dataset, DELTA, 10), rounds=3, iterations=1
+        build_wpg_fast, args=(dataset, DELTA, 10), rounds=3, iterations=1
     )
     assert graph.vertex_count == USERS
 

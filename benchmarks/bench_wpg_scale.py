@@ -1,9 +1,10 @@
 """WPG construction and request-path throughput at production scale.
 
-Regenerates ``BENCH_wpg.json``: scalar vs vectorized build times with an
-edge-level equality cross-check, plus batched request throughput,
-region-cache hit rate, and an LBS request-cost pass, at each population
-size.  Run as a script::
+Regenerates ``BENCH_wpg.json``: the build's time against the per-user
+reference (:func:`repro.verify.oracles.oracle_build_wpg`, timed as
+``scalar_seconds``) with an edge-level equality cross-check, plus batched
+request throughput, region-cache hit rate, and an LBS request-cost pass,
+at each population size.  Run as a script::
 
     PYTHONPATH=src python benchmarks/bench_wpg_scale.py \
         --sizes 10000,50000 --requests 2000 --out BENCH_wpg.json
@@ -79,11 +80,12 @@ from repro.config import SimulationConfig
 from repro.datasets.california import california_like_poi
 from repro.errors import ClusteringError
 from repro.experiments.workloads import clusterable_users
-from repro.graph.build import build_wpg, build_wpg_fast
+from repro.graph.build import build_wpg_fast
 from repro.graph.cluster_tree import ClusterTree
 from repro.obs import names as metric
 from repro.server.costs import request_cost_messages
 from repro.server.poidb import POIDatabase
+from repro.verify.oracles import oracle_build_wpg
 
 PAPER_USERS = 104_770
 PAPER_DELTA = 2e-3
@@ -188,7 +190,7 @@ def bench_size(users: int, requests: int, seed: int) -> dict:
     fast_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    scalar = build_wpg(dataset, delta, MAX_PEERS)
+    scalar = oracle_build_wpg(dataset, delta, MAX_PEERS)
     scalar_seconds = time.perf_counter() - t0
 
     graphs_equal = (
@@ -246,8 +248,8 @@ def bench_size(users: int, requests: int, seed: int) -> dict:
     if obs.enabled():
         snapshot = obs.snapshot()
         # The four pipeline phases, measured from the inside by their
-        # spans.  wpg_build covers the vectorized build only — the scalar
-        # rebuild above is the cross-check, not part of the pipeline.
+        # spans.  wpg_build covers the build only — the oracle rebuild
+        # above is the cross-check, not part of the pipeline.
         phases = {
             "wpg_build": _span_total(snapshot, metric.SPAN_BUILD_FAST),
             "clustering": _span_total(snapshot, metric.SPAN_CLUSTERING),

@@ -15,7 +15,7 @@ Run:  python examples/bounding_tradeoffs.py
 
 import statistics
 
-from repro import SimulationConfig, build_wpg, california_like_poi
+from repro import SimulationConfig, build_wpg_fast, california_like_poi
 from repro.bounding.boxing import optimal_bounding_box, secure_bounding_box
 from repro.bounding.presets import paper_policy
 from repro.bounding.privacy import PrivacyFloorPolicy, privacy_loss_metric
@@ -32,7 +32,7 @@ def main() -> None:
         k=10,
     )
     users = california_like_poi(config.user_count, seed=12)
-    graph = build_wpg(users, config.delta, config.max_peers)
+    graph = build_wpg_fast(users, config.delta, config.max_peers)
     db = POIDatabase(users)
 
     # Form 40 clusters with the paper's phase 1.

@@ -14,7 +14,7 @@ error.
 Run:  python examples/concurrent_requests.py
 """
 
-from repro import SimulationConfig, build_wpg, california_like_poi
+from repro import SimulationConfig, build_wpg_fast, california_like_poi
 from repro.clustering.distributed import DistributedClustering
 from repro.experiments.workloads import sample_hosts
 from repro.network.concurrency import run_concurrent_requests
@@ -28,7 +28,7 @@ def main() -> None:
         k=8,
     )
     users = california_like_poi(config.user_count, seed=3)
-    graph = build_wpg(users, config.delta, config.max_peers)
+    graph = build_wpg_fast(users, config.delta, config.max_peers)
     clustering = DistributedClustering(graph, config.k)
 
     # Deliberately include *neighbouring* hosts so proposals collide:

@@ -14,7 +14,7 @@ Demonstrates:
 Run:  python examples/p2p_cloaking.py
 """
 
-from repro import SimulationConfig, build_wpg, california_like_poi
+from repro import SimulationConfig, build_wpg_fast, california_like_poi
 from repro.bounding.p2p import p2p_upper_bound
 from repro.bounding.presets import paper_policy
 from repro.clustering.distributed import DistributedClustering
@@ -32,7 +32,7 @@ def main() -> None:
         k=8,
     )
     users = california_like_poi(config.user_count, seed=7)
-    graph = build_wpg(users, config.delta, config.max_peers)
+    graph = build_wpg_fast(users, config.delta, config.max_peers)
     # Pick a host whose WPG component can support k-anonymity at all.
     host = sample_hosts(graph, config.k, 1, seed=1)[0]
 

@@ -16,7 +16,7 @@ from repro import (
     POIDatabase,
     SimulationConfig,
     california_like_poi,
-    build_wpg,
+    build_wpg_fast,
 )
 from repro.server.costs import total_request_cost
 
@@ -32,7 +32,7 @@ def main() -> None:
     users = california_like_poi(config.user_count, seed=42)
     print(f"population: {len(users)} users")
 
-    graph = build_wpg(users, config.delta, config.max_peers)
+    graph = build_wpg_fast(users, config.delta, config.max_peers)
     print(
         f"proximity graph: {graph.edge_count} edges, "
         f"avg degree {2 * graph.edge_count / graph.vertex_count:.1f}"

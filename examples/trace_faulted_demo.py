@@ -20,7 +20,7 @@ from repro import obs
 from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.reliability import ProtocolAbort, ReliabilityPolicy
 from repro.network.simulator import PeerNetwork
@@ -37,7 +37,7 @@ def main(out_path: str = "trace.jsonl") -> None:
         user_count=80, delta=0.12, max_peers=8, k=4, request_count=12
     )
     dataset = uniform_points(config.user_count, seed=3)
-    graph = build_wpg(dataset, config.delta, config.max_peers)
+    graph = build_wpg_fast(dataset, config.delta, config.max_peers)
     network = PeerNetwork(
         failure_plan=FailurePlan(
             drop_probability=0.08, crashed=frozenset({CRASHED_PEER}), seed=11

@@ -7,12 +7,12 @@ progressive bounding protocol.
 Quickstart::
 
     from repro import (
-        SimulationConfig, california_like_poi, build_wpg, CloakingEngine,
+        SimulationConfig, california_like_poi, build_wpg_fast, CloakingEngine,
     )
 
     config = SimulationConfig(user_count=5000)
     users = california_like_poi(5000)
-    graph = build_wpg(users, config.delta, config.max_peers)
+    graph = build_wpg_fast(users, config.delta, config.max_peers)
     engine = CloakingEngine(users, graph, config)
     result = engine.request(host=42)
     assert result.region.satisfies(config.k)
@@ -37,7 +37,7 @@ from repro.datasets import (
     save_csv,
     uniform_points,
 )
-from repro.graph import WeightedProximityGraph, build_wpg, build_wpg_fast
+from repro.graph import WeightedProximityGraph, build_wpg_fast
 from repro.clustering import (
     ClusterRegistry,
     ClusterResult,
@@ -83,7 +83,6 @@ __all__ = [
     "SecurePolicy",
     "SimulationConfig",
     "WeightedProximityGraph",
-    "build_wpg",
     "build_wpg_fast",
     "california_like_poi",
     "centralized_k_clustering",

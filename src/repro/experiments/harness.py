@@ -33,7 +33,7 @@ from repro.clustering.distributed import DistributedClustering
 from repro.clustering.knn import KNNClustering
 from repro.clustering.hilbert_asr import HilbertASRClustering
 from repro.cloaking.anonymizer import CentralizedAnonymizer
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.wpg import WeightedProximityGraph
 from repro.server.poidb import POIDatabase
 
@@ -108,7 +108,7 @@ class ExperimentSetup:
         key = (config.delta, config.max_peers)
         cached = self._graphs.get(key)
         if cached is None:
-            cached = build_wpg(self.dataset, config.delta, config.max_peers)
+            cached = build_wpg_fast(self.dataset, config.delta, config.max_peers)
             self._graphs[key] = cached
         return cached
 

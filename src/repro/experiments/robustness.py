@@ -30,12 +30,11 @@ from repro.experiments.harness import (
     run_clustering_workload,
 )
 from repro.experiments.workloads import sample_hosts
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.node import populate_network
 from repro.network.reliability import ProtocolAbort, ReliabilityPolicy
 from repro.network.simulator import PeerNetwork
-from repro.radio.measurement import ProximityMeter
 from repro.radio.rss import LogDistanceRSSModel
 
 DEFAULT_SIGMAS: tuple[float, ...] = (0.0, 2.0, 4.0, 8.0)
@@ -80,11 +79,12 @@ def run_robustness(
     config = setup.base_config.with_overrides(request_count=request_count)
     workloads: list[ClusteringWorkloadResult] = []
     for sigma in sigmas:
-        meter = ProximityMeter(
+        graph = build_wpg_fast(
             setup.dataset,
+            config.delta,
+            config.max_peers,
             model=LogDistanceRSSModel(shadowing_sigma_db=sigma, seed=seed),
         )
-        graph = build_wpg(setup.dataset, config.delta, config.max_peers, meter=meter)
         hosts = sample_hosts(graph, config.k, request_count, seed=seed)
         workloads.append(
             run_clustering_workload(setup, "t-conn", config, hosts, graph=graph)
@@ -168,7 +168,7 @@ def run_message_loss(
     """
     dataset = uniform_points(users, seed=seed)
     config = SimulationConfig(k=k)
-    graph = build_wpg(dataset, delta=0.09, max_peers=8)
+    graph = build_wpg_fast(dataset, delta=0.09, max_peers=8)
     hosts = sample_hosts(graph, k, requests, seed=seed)
     avg_messages: list[float] = []
     retries_per_request: list[float] = []

@@ -1,7 +1,7 @@
 """The weighted proximity graph (WPG) and supporting graph machinery."""
 
 from repro.graph.wpg import Edge, WeightedProximityGraph
-from repro.graph.build import build_wpg, build_wpg_fast
+from repro.graph.build import build_wpg_fast
 from repro.graph.incremental import ChurnPatch, IncrementalWPG
 from repro.graph.unionfind import UnionFind
 from repro.graph.dendrogram import DendrogramNode, single_linkage_dendrogram
@@ -35,7 +35,6 @@ __all__ = [
     "UnionFind",
     "WeightedProximityGraph",
     "average_degree",
-    "build_wpg",
     "build_wpg_fast",
     "connected_component",
     "connected_components",

@@ -13,6 +13,14 @@ The paper's recipe:
 An edge therefore exists when at least one endpoint selected the other as
 one of its M nearest peers; the mutual-rank minimum is well defined either
 way because ranks are computed over the radio neighbourhood.
+
+Steps 1-2 live in one kernel, :func:`directed_picks`, over a
+:class:`~repro.spatial.grid.GridIndex`: the from-scratch build below runs
+it over every user, and the churn runtime
+(:class:`~repro.graph.incremental.IncrementalWPG`) over the users a move
+batch disturbed.  Step 3 is :func:`mutual_rank_edges`.  The per-user loop
+the recipe reads as is kept as the reference,
+:func:`repro.verify.oracles.oracle_build_wpg`.
 """
 
 from __future__ import annotations
@@ -20,30 +28,26 @@ from __future__ import annotations
 import numpy as np
 
 from repro import obs
-from repro.config import SimulationConfig
 from repro.datasets.base import PointDataset
 from repro.errors import ConfigurationError
 from repro.graph.wpg import WeightedProximityGraph
 from repro.obs import names as metric
-from repro.radio.measurement import ProximityMeter
-from repro.spatial.neighbors import NeighborFinder
+from repro.radio.rss import IdealRSSModel, RSSModel, rss_batch_fallback
+from repro.spatial.grid import GridIndex
 
 
-def _record_build(graph: WeightedProximityGraph) -> None:
-    """Report one finished WPG construction into the registry."""
-    obs.inc(metric.WPG_BUILDS)
-    obs.set_gauge(metric.WPG_VERTICES, graph.vertex_count)
-    obs.set_gauge(metric.WPG_EDGES, graph.edge_count)
-
-
-def build_wpg(
+def build_wpg_fast(
     dataset: PointDataset,
     delta: float,
     max_peers: int,
-    meter: ProximityMeter | None = None,
-    finder: NeighborFinder | None = None,
+    model: RSSModel | None = None,
 ) -> WeightedProximityGraph:
     """Construct the weighted proximity graph of ``dataset``.
+
+    A :class:`~repro.spatial.grid.GridIndex` over the dataset (cell size
+    ``delta``), :func:`directed_picks` over every user,
+    :func:`mutual_rank_edges`, and one bulk
+    :meth:`~repro.graph.wpg.WeightedProximityGraph.from_arrays` assembly.
 
     Parameters
     ----------
@@ -53,133 +57,85 @@ def build_wpg(
         Communication range (Table I default 2e-3).
     max_peers:
         Device connection cap M (Table I default 10).
-    meter:
-        Proximity measurement; defaults to the ideal RSS model, i.e.
-        rankings equal distance rankings.  Pass a noisy meter for
-        robustness experiments.
-    finder:
-        Spatial index facade; built over ``dataset`` with cell size
-        ``delta`` when omitted.
+    model:
+        The radio model ranking peers; defaults to the ideal RSS model,
+        i.e. rankings equal distance rankings.  Pass a noisy model for
+        robustness experiments (a stateful one is consumed by the build).
     """
     if delta <= 0:
         raise ConfigurationError(f"delta must be positive, got {delta}")
     if max_peers < 1:
         raise ConfigurationError(f"max_peers must be >= 1, got {max_peers}")
-    if meter is None:
-        meter = ProximityMeter(dataset)
-    if finder is None:
-        finder = NeighborFinder(dataset, kind="grid", cell_size=delta)
-
-    with obs.span(metric.SPAN_BUILD_SCALAR):
-        graph = WeightedProximityGraph()
-        # Each user's connected peer list: the M nearest within delta, in
-        # the meter's closeness order (rank 1 first).
-        peer_lists: list[list[int]] = []
-        for user in range(len(dataset)):
-            graph.add_vertex(user)
-            nearby = finder.peers_in_range(user, delta)
-            ranked = meter.rank_peers(user, nearby)
-            peer_lists.append(ranked[:max_peers])
-
-        # Mutual-rank edge weights.  rank_of[u][v] = v's 1-based rank in
-        # u's list.
-        rank_of: list[dict[int, int]] = [
-            {peer: rank for rank, peer in enumerate(peers, start=1)}
-            for peers in peer_lists
-        ]
-        for user, peers in enumerate(peer_lists):
-            for rank, peer in enumerate(peers, start=1):
-                if graph.has_edge(user, peer):
-                    continue
-                back_rank = rank_of[peer].get(user)
-                weight = rank if back_rank is None else min(rank, back_rank)
-                graph.add_edge(user, peer, float(weight))
-    if obs.enabled():
-        _record_build(graph)
-    return graph
-
-
-def build_wpg_fast(
-    dataset: PointDataset,
-    delta: float,
-    max_peers: int,
-    meter: ProximityMeter | None = None,
-    finder: NeighborFinder | None = None,
-    validate: bool = False,
-) -> WeightedProximityGraph:
-    """Vectorized :func:`build_wpg`: the same WPG from numpy array passes.
-
-    The scalar builder runs one grid query and one ranking sort per user;
-    at production populations that Python-level loop dominates the wall
-    clock of every re-cloaking cycle.  This path assembles the identical
-    graph from four vectorized stages:
-
-    1. ``GridIndex.batch_query_radius`` — every user's delta-neighborhood
-       in one cell-bucket sweep (CSR arrays).
-    2. ``ProximityMeter.rank_all`` — every neighborhood ranked in one
-       ``lexsort`` (noisy meters consume their RNG stream in the same
-       pair order as the scalar path, keeping rankings bit-identical).
-    3. Peer-cap truncation and mutual-rank reduction over the directed
-       pair arrays (``min`` per canonical edge).
-    4. ``WeightedProximityGraph.from_arrays`` bulk graph assembly.
-
-    Parameters mirror :func:`build_wpg`; ``finder`` must be grid-backed
-    (the default) — only the grid supports the batch sweep.
-    With ``validate=True`` the scalar builder runs too and the two graphs
-    are cross-checked for vertex/edge/weight equality (raises
-    :class:`ConfigurationError` on any divergence) — the belt-and-braces
-    mode for new indexes.  Validation requires a stateless meter (the
-    default ideal model qualifies): a shadowing RNG would be consumed by
-    the first build and produce different readings on the second.
-    """
-    if delta <= 0:
-        raise ConfigurationError(f"delta must be positive, got {delta}")
-    if max_peers < 1:
-        raise ConfigurationError(f"max_peers must be >= 1, got {max_peers}")
-    if meter is None:
-        meter = ProximityMeter(dataset)
-    if finder is None:
-        finder = NeighborFinder(dataset, kind="grid", cell_size=delta)
     n = len(dataset)
-
     with obs.span(metric.SPAN_BUILD_FAST):
-        # Stage 1: all delta-neighborhoods at once (self already excluded).
-        indptr, nbrs = finder.batch_peers_in_range(delta)
-        counts = np.diff(indptr)
-        users = np.repeat(np.arange(n, dtype=np.int64), counts)
-
-        # Stage 2: rank every neighborhood (closest first, ties by id).
-        ranked = meter.rank_all(indptr, nbrs)
-
-        # Stages 3-4: peer-cap truncation, mutual-rank reduction, bulk
-        # assembly — shared with the incremental maintainer.
-        u, v, ranks = directed_picks(users, indptr, ranked, max_peers)
-        us, vs, weights = mutual_rank_edges(n, u, v, ranks)
+        grid = GridIndex(dataset.points, cell_size=delta)
+        users, peers, ranks = directed_picks(
+            grid,
+            np.arange(n, dtype=np.int64),
+            delta,
+            max_peers,
+            model if model is not None else IdealRSSModel(),
+        )
+        us, vs, weights = mutual_rank_edges(n, users, peers, ranks.astype(float))
         graph = WeightedProximityGraph.from_arrays(n, us, vs, weights)
     if obs.enabled():
-        _record_build(graph)
-
-    if validate:
-        _check_equal(graph, build_wpg(dataset, delta, max_peers, meter=meter))
+        obs.inc(metric.WPG_BUILDS)
+        obs.set_gauge(metric.WPG_VERTICES, graph.vertex_count)
+        obs.set_gauge(metric.WPG_EDGES, graph.edge_count)
     return graph
 
 
 def directed_picks(
-    users: np.ndarray, indptr: np.ndarray, ranked: np.ndarray, max_peers: int
+    grid: GridIndex,
+    users: np.ndarray,
+    delta: float,
+    max_peers: int,
+    model: RSSModel,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each user's directed peer picks: ``(users, peers, 1-based ranks)``.
+    """Each user's up-to-M closest peers within ``delta``, ranked.
 
-    ``ranked`` is the CSR-concatenated closest-first neighborhoods
-    (:meth:`~repro.radio.measurement.ProximityMeter.rank_all` output) and
-    ``users`` the matching per-entry segment owner; only the first
-    ``max_peers`` entries of each segment survive — the device cap M.
+    ``users`` are ascending live ids of ``grid``.  Returns directed
+    ``(rows, peers, ranks)`` int64 columns: ``users[rows[j]]`` keeps
+    ``peers[j]`` as its ``ranks[j]``-th closest peer (1-based).  Rows
+    ascend and each row's picks come in rank order.
+
+    Closeness is ``model``'s reading of the pair distance, larger first,
+    ties broken by peer id: the order of
+    :meth:`~repro.radio.measurement.ProximityMeter.rank_peers`.  The model
+    is read once per (user, candidate) pair, users ascending and each
+    user's candidates in :meth:`~repro.spatial.grid.GridIndex.query_radius`
+    order (``batch_query_radius`` keeps it), so a stateful model draws its
+    noise exactly as a per-user loop would.
     """
-    counts = np.diff(indptr)
-    positions = np.arange(len(ranked), dtype=np.int64) - np.repeat(
-        indptr[:-1], counts
-    )
+    if len(users) == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    coords = grid.points_array()
+    indptr, nbrs = grid.batch_query_radius(delta, centers=coords[users])
+    # Each center is a live indexed point, so every segment contains
+    # exactly one self-match.
+    counts = np.diff(indptr) - 1
+    owners = np.repeat(users, counts + 1)
+    not_self = nbrs != owners
+    owners, nbrs = owners[not_self], nbrs[not_self]
+    xs = coords[:, 0]
+    ys = coords[:, 1]
+    dx = xs[owners] - xs[nbrs]
+    dy = ys[owners] - ys[nbrs]
+    distances = np.sqrt(dx * dx + dy * dy)
+    batch = getattr(model, "rss_batch", None)
+    if batch is not None:
+        readings = batch(distances)
+    else:
+        readings = rss_batch_fallback(model, distances)
+    # Every row's (-reading, peer id) order at once; rows stay grouped
+    # and ascending, so only the peers move.
+    rows = np.repeat(np.arange(len(users), dtype=np.int64), counts)
+    nbrs = nbrs[np.lexsort((nbrs, -readings, rows))]
+    starts = np.cumsum(counts) - counts
+    positions = np.arange(len(nbrs), dtype=np.int64) - np.repeat(starts, counts)
     kept = positions < max_peers
-    return users[kept], ranked[kept], (positions[kept] + 1).astype(float)
+    return rows[kept], nbrs[kept], positions[kept] + 1
 
 
 def mutual_rank_edges(
@@ -207,27 +163,3 @@ def mutual_rank_edges(
     weights = np.minimum.reduceat(ranks_sorted, starts)
     pair_keys = keys_sorted[starts]
     return pair_keys // n, pair_keys % n, weights
-
-
-def _check_equal(
-    fast: WeightedProximityGraph, scalar: WeightedProximityGraph
-) -> None:
-    """Raise unless the two graphs have identical vertices, edges, weights."""
-    if set(fast.vertices()) != set(scalar.vertices()):
-        raise ConfigurationError(
-            "fast/scalar WPG construction disagree on the vertex set"
-        )
-    fast_edges = {e.key(): e.weight for e in fast.edges()}
-    scalar_edges = {e.key(): e.weight for e in scalar.edges()}
-    if fast_edges != scalar_edges:
-        diff = set(fast_edges.items()) ^ set(scalar_edges.items())
-        raise ConfigurationError(
-            f"fast/scalar WPG construction disagree on {len(diff)} edge entries"
-        )
-
-
-def build_wpg_from_config(
-    dataset: PointDataset, config: SimulationConfig
-) -> WeightedProximityGraph:
-    """Convenience wrapper: build with a config's ``delta`` and ``max_peers``."""
-    return build_wpg(dataset, delta=config.delta, max_peers=config.max_peers)

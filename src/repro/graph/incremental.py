@@ -10,8 +10,9 @@ mover's old or new position.
 Every user's directed picks live in one ``(n, M)`` peer-id table: row
 ``u`` holds u's picks closest first, so column ``c`` is u's rank-``c + 1``
 peer, and ``-1`` marks an empty slot (fewer than M peers in range, or a
-removed id).  Each batch re-ranks exactly the *dirty set* with the same
-vectorized kernels the from-scratch builder uses and rewrites those rows.
+removed id).  Each batch re-ranks exactly the *dirty set* with the
+from-scratch builder's own kernel,
+:func:`~repro.graph.build.directed_picks`, and rewrites those rows.
 The candidate pairs — a dirty user and one of its old or new picks — are
 reduced to unique canonical keys, and each pair's mutual-rank weight is
 computed in numpy from the table before and after the rewrite.  Only the
@@ -24,9 +25,8 @@ function of the two directed 1-based ranks, b's in row ``a`` and a's in
 row ``b``.  A user's picks are a pure function of its delta-neighborhood
 and the pairwise distances inside it.  Both can only change for users
 within delta of a mover's old or new position, and the dirty-set re-rank
-recomputes picks with the exact float operations of
-:meth:`~repro.radio.measurement.ProximityMeter.rank_all` — so every pick,
-and therefore every edge weight, matches the from-scratch build exactly.
+is the build's kernel itself — so every pick, and therefore every edge
+weight, matches the from-scratch build exactly.
 A pair whose weight changed has a rank that changed, so a dirty endpoint
 picked the other before or after: it is among the candidates.
 
@@ -49,7 +49,7 @@ from repro.obs import names as metric
 from repro.geometry.point import Point
 from repro.graph.build import directed_picks, mutual_rank_edges
 from repro.graph.wpg import WeightedProximityGraph
-from repro.radio.rss import IdealRSSModel, LogDistanceRSSModel, RSSModel, rss_batch_fallback
+from repro.radio.rss import IdealRSSModel, LogDistanceRSSModel, RSSModel
 from repro.spatial.grid import GridIndex
 
 
@@ -118,7 +118,7 @@ class IncrementalWPG:
         through :meth:`GridIndex.move_many` itself — callers must not
         mutate the grid behind its back.
     delta:
-        Communication range, as in :func:`~repro.graph.build.build_wpg`.
+        Communication range, as in :func:`~repro.graph.build.build_wpg_fast`.
     max_peers:
         Device connection cap M.
     model:
@@ -151,8 +151,11 @@ class IncrementalWPG:
         # The picks table (see module docstring): rank = column + 1.
         self._picks = np.full((len(grid), max_peers), -1, dtype=np.int64)
         live = np.asarray(grid.live_ids(), dtype=np.int64)
-        self._picks[live] = self._rank_users(live)
-        users, peers, ranks = self._directed()
+        rows, peers, ranks = directed_picks(
+            grid, live, delta, max_peers, self._model
+        )
+        users = live[rows]
+        self._picks[users, ranks - 1] = peers
         us, vs, ws = mutual_rank_edges(
             len(grid), users, peers, ranks.astype(float)
         )
@@ -309,48 +312,6 @@ class IncrementalWPG:
                 "delta/max_peers and a stateless radio model?"
             )
 
-    def _rank_users(self, users: np.ndarray) -> np.ndarray:
-        """Picks-table rows of ``users`` (sorted ascending live ids).
-
-        Row ``i`` holds ``users[i]``'s up-to-M closest peers within
-        delta, closest first, ``-1``-padded — computed with the exact
-        float operations of the from-scratch fast build.
-        """
-        rows = np.full((len(users), self._max_peers), -1, dtype=np.int64)
-        if len(users) == 0:
-            return rows
-        coords = self._grid.points_array()
-        indptr, nbrs = self._grid.batch_query_radius(
-            self._delta, centers=coords[users]
-        )
-        # Each center is a live indexed point, so every segment contains
-        # exactly one self-match.
-        counts = np.diff(indptr) - 1
-        owners = np.repeat(users, counts + 1)
-        not_self = nbrs != owners
-        owners, nbrs = owners[not_self], nbrs[not_self]
-        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-        xs = coords[:, 0]
-        ys = coords[:, 1]
-        dx = xs[owners] - xs[nbrs]
-        dy = ys[owners] - ys[nbrs]
-        distances = np.sqrt(dx * dx + dy * dy)
-        batch = getattr(self._model, "rss_batch", None)
-        if batch is not None:
-            readings = batch(distances)
-        else:
-            readings = rss_batch_fallback(self._model, distances)
-        # The per-user (-reading, id) order of rank_peers, all segments at
-        # once; `owners` ascending keeps segments contiguous and in id
-        # order, matching rank_all's grouping.
-        order = np.lexsort((nbrs, -readings, owners))
-        row_of = np.repeat(np.arange(len(users), dtype=np.int64), counts)
-        rows_kept, peers, ranks = directed_picks(
-            row_of, indptr, nbrs[order], self._max_peers
-        )
-        rows[rows_kept, ranks.astype(np.int64) - 1] = peers
-        return rows
-
     def _mutual_weights(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Current mutual-rank weight of each pair; 0 where there is no edge."""
         pairs = len(lo)
@@ -402,7 +363,11 @@ class IncrementalWPG:
 
     def _patch(self, ids: list[int], dirty: np.ndarray) -> ChurnPatch:
         """Re-rank the dirty set and write the changed weights to the graph."""
-        rows = self._rank_users(dirty)
+        new_rows, new_peers, new_ranks = directed_picks(
+            self._grid, dirty, self._delta, self._max_peers, self._model
+        )
+        rows = np.full((len(dirty), self._max_peers), -1, dtype=np.int64)
+        rows[new_rows, new_ranks - 1] = new_peers
 
         # Candidate pairs: every (dirty user, old-or-new pick), as unique
         # canonical keys lo * n + hi.  Any other pair has both directed

@@ -120,7 +120,6 @@ WPG_BUILDS = "wpg.builds"
 WPG_VERTICES = "wpg.vertices"  # gauge
 WPG_EDGES = "wpg.edges"  # gauge
 
-SPAN_BUILD_SCALAR = "wpg.build_scalar"
 SPAN_BUILD_FAST = "wpg.build_fast"
 
 # -- peer network ----------------------------------------------------------------

@@ -13,11 +13,9 @@ from __future__ import annotations
 import math
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from repro.datasets.base import PointDataset
 from repro.errors import ConfigurationError
-from repro.radio.rss import IdealRSSModel, RSSModel, rss_batch_fallback
+from repro.radio.rss import IdealRSSModel, RSSModel
 
 
 class ProximityModel(Protocol):
@@ -45,15 +43,15 @@ class ProximityMeter:
     def __init__(self, dataset: PointDataset, model: RSSModel | None = None) -> None:
         self._dataset = dataset
         self._model = model if model is not None else IdealRSSModel()
-        self._coords: np.ndarray | None = None
 
     def reading(self, user: int, peer: int) -> float:
         """The radio reading ``user`` observes for ``peer`` (larger = closer)."""
         if user == peer:
             raise ConfigurationError("a user cannot measure itself")
         # sqrt of the squared distance (not hypot): the exact same floating
-        # operations the vectorized rank_all performs, so scalar and batch
-        # readings — and therefore rankings — are bit-identical.
+        # operations the WPG kernel (repro.graph.build.directed_picks)
+        # performs, so scalar and batch readings — and therefore
+        # rankings — are bit-identical.
         distance = math.sqrt(self._dataset[user].squared_distance_to(self._dataset[peer]))
         return self._model.rss(distance)
 
@@ -73,41 +71,3 @@ class ProximityMeter:
         """
         ordered = self.rank_peers(user, peers)
         return {peer: rank for rank, peer in enumerate(ordered, start=1)}
-
-    # -- batch measurement ----------------------------------------------------
-
-    def _coords_array(self) -> np.ndarray:
-        if self._coords is None:
-            # Transposed (2, n) so each axis is contiguous for the gathers.
-            self._coords = np.ascontiguousarray(self._dataset.as_array().T)
-        return self._coords
-
-    def rank_all(self, indptr: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-        """Every user's neighborhood ranked in one vectorized pass.
-
-        ``neighbors[indptr[u]:indptr[u + 1]]`` are user ``u``'s candidate
-        peers, in the order a scalar caller would pass them to
-        :meth:`rank_peers` (stateful noisy models consume their noise
-        stream in exactly that pair order).  Returns an array of the same
-        length with each segment reordered closest-first, ties broken by
-        peer id — segment ``u`` equals ``rank_peers(u, segment_u)``.
-        """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        neighbors = np.asarray(neighbors, dtype=np.int64)
-        counts = np.diff(indptr)
-        users = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        if np.any(users == neighbors):
-            raise ConfigurationError("a user cannot measure itself")
-        xs, ys = self._coords_array()
-        dx = xs[users] - xs[neighbors]
-        dy = ys[users] - ys[neighbors]
-        distances = np.sqrt(dx * dx + dy * dy)
-        batch = getattr(self._model, "rss_batch", None)
-        if batch is not None:
-            readings = batch(distances)
-        else:
-            readings = rss_batch_fallback(self._model, distances)
-        # Sort by (user, -reading, peer id): the per-user (-reading, id)
-        # ordering of rank_peers, all segments at once.
-        order = np.lexsort((neighbors, -readings, users))
-        return neighbors[order]

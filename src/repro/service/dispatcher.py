@@ -19,7 +19,9 @@ components that different workers own — and a post-merge request needs
 the registrations *both* precursors made.  The barrier's order is the
 correctness argument:
 
-1. close the admission gate, drain in-flight requests to zero;
+1. close the admission gate, drain in-flight requests to zero (one
+   barrier at a time: a second caller waits for the first to reopen
+   the gate before closing it again);
 2. ``drain_state``: collect every worker's new clusters and cached
    regions since the last sync;
 3. ``merge_state``: broadcast each worker the others' deltas (adopted
@@ -42,7 +44,8 @@ import multiprocessing
 import socket
 import threading
 from concurrent.futures import Future
-from typing import Iterable, Optional, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional, Sequence
 
 from repro import errors as _errors
 from repro import obs
@@ -113,6 +116,8 @@ class CloakingService:
         self._admission = threading.Condition()
         self._in_flight = 0
         self._gate_closed = False
+        # Held by one barrier from gate-close to gate-open (see _gated).
+        self._barrier_lock = threading.Lock()
         self._frame_ids = itertools.count(1)
         self._id_lock = threading.Lock()
         self._links = self._spawn_workers()
@@ -405,25 +410,39 @@ class CloakingService:
             else:
                 user, x, y = entry
                 batch.append((int(user), Point(float(x), float(y))))
-        with self._admission:
-            self._gate_closed = True
-            drained = self._admission.wait_for(
-                lambda: self._in_flight == 0, timeout=120.0
-            )
-            if not drained:  # pragma: no cover - pathological stall
-                self._gate_closed = False
-                self._admission.notify_all()
-                raise ServiceError("churn barrier timed out draining in-flight work")
-        try:
+        with self._gated():
             with _trace.request_scope(), obs.span(metric.SPAN_SERVICE_CHURN):
                 summary = self._barrier(batch)
             if obs.enabled():
                 obs.inc(metric.SERVICE_CHURN_TICKS)
             return summary
-        finally:
+
+    @contextmanager
+    def _gated(self) -> Iterator[None]:
+        """Hold the admission gate closed, with nothing in flight.
+
+        Barriers run one at a time: the lock is held from gate-close to
+        gate-open.  Without it a second barrier's drain check passes at
+        once (the first's closed gate already keeps requests out), the
+        two broadcast to the workers interleaved, and the first to
+        finish reopens the gate under the other.
+        """
+        with self._barrier_lock:
             with self._admission:
-                self._gate_closed = False
-                self._admission.notify_all()
+                self._gate_closed = True
+                drained = self._admission.wait_for(
+                    lambda: self._in_flight == 0, timeout=120.0
+                )
+                if not drained:  # pragma: no cover - pathological stall
+                    self._gate_closed = False
+                    self._admission.notify_all()
+                    raise ServiceError("barrier timed out draining in-flight work")
+            try:
+                yield
+            finally:
+                with self._admission:
+                    self._gate_closed = False
+                    self._admission.notify_all()
 
     def _barrier(self, batch: list[tuple[int, Point]]) -> dict:
         synced = self._sync_state_locked()
@@ -549,15 +568,8 @@ class CloakingService:
         """Run the state-sync barrier alone (no moves); returns the
         (clusters, regions) counts drained.  The introspection methods
         call this so their answers include un-synced recent requests."""
-        with self._admission:
-            self._gate_closed = True
-            self._admission.wait_for(lambda: self._in_flight == 0, timeout=120.0)
-        try:
+        with self._gated():
             return self._sync_state_locked()
-        finally:
-            with self._admission:
-                self._gate_closed = False
-                self._admission.notify_all()
 
     # -- introspection (the differential harness's hooks) -----------------------------
 

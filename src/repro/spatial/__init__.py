@@ -1,7 +1,5 @@
 """Spatial indexes used to build proximity graphs and answer LBS queries."""
 
 from repro.spatial.grid import GridIndex
-from repro.spatial.kdtree import KDTree
-from repro.spatial.neighbors import NeighborFinder
 
-__all__ = ["GridIndex", "KDTree", "NeighborFinder"]
+__all__ = ["GridIndex"]

@@ -480,37 +480,30 @@ class GridIndex:
         return bucket_indptr, bucket_points
 
     def batch_query_radius(
-        self, radius: float, centers: np.ndarray | None = None
+        self, radius: float, centers: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """All radius queries at once: CSR ``(indptr, neighbor_ids)``.
 
         ``neighbor_ids[indptr[i]:indptr[i + 1]]`` are the indexed points
-        within ``radius`` of center ``i`` — by default every indexed point
-        is a center, which is exactly the all-pairs query WPG construction
-        needs.  The per-center result equals :meth:`query_radius` for the
+        within ``radius`` of ``centers[i]`` (an ``(m, 2)`` coordinate
+        array).  The per-center result equals :meth:`query_radius` for the
         same center, in the same order (cells row-major, points by id), so
         scalar and batch callers can be cross-validated element-wise.
 
-        ``centers`` may override the query centers with an ``(m, 2)``
-        coordinate array.  The sweep enumerates cell offsets, so it is
-        efficient when ``radius`` is within a small multiple of
-        ``cell_size`` (the WPG regime ``cell_size == delta``).
+        The sweep enumerates cell offsets, so it is efficient when
+        ``radius`` is within a small multiple of ``cell_size`` (the WPG
+        regime ``cell_size == delta``).
         """
         if radius < 0:
             raise ConfigurationError(f"radius must be non-negative, got {radius}")
-        if centers is None and self._live < len(self._points):
-            raise ConfigurationError(
-                "the index has removed slots; pass explicit centers to "
-                "batch_query_radius"
-            )
         (
-            coords,
+            _,
             bucket_counts,
             bucket_indptr,
             bucket_points,
             bucket_coords,
         ) = self._bulk_arrays()
-        centers_xy = coords if centers is None else np.asarray(centers, dtype=float)
+        centers_xy = np.asarray(centers, dtype=float)
         m = len(centers_xy)
         xs = np.ascontiguousarray(centers_xy[:, 0])
         ys = np.ascontiguousarray(centers_xy[:, 1])

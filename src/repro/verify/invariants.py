@@ -223,9 +223,9 @@ def graph_equality_details(
 
 @invariant("wpg-fast-scalar-equal")
 def _wpg_differential(run: WorldRun) -> List[str]:
-    """The vectorized and scalar WPG builders must agree exactly."""
+    """``build_wpg_fast`` must equal the per-user oracle exactly."""
     return graph_equality_details(
-        run.built.graph, run.built.scalar_graph, "fast", "scalar"
+        run.built.graph, run.built.scalar_graph, "fast", "oracle"
     )
 
 

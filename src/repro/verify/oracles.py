@@ -1,4 +1,4 @@
-"""Exact from-definition oracles for the clustering and bounding layers.
+"""Exact from-definition oracles for the WPG, clustering and bounding layers.
 
 Every function here re-derives a quantity the optimized pipeline computes
 — but straight from the paper's definitions, sharing *no* code with the
@@ -25,7 +25,14 @@ implementation under test:
   copy, connectivity by plain BFS after every removal;
   :func:`oracle_ordered_partition` fixes the group order the cluster
   tree must reproduce (dendrogram cut, then the literal greedy pass on
-  every piece of >= 2k users).
+  every piece of >= 2k users);
+* :func:`oracle_build_wpg` — Section VI's WPG recipe as a per-user loop:
+  one :meth:`~repro.spatial.grid.GridIndex.query_radius` call and one
+  :meth:`~repro.radio.measurement.ProximityMeter.rank_peers` sort per
+  user, then the mutual-rank minimum edge by edge.  Both reused pieces
+  are scalar and pinned on their own (the grid against a brute-force
+  scan, the meter against distance order); the batch kernel it checks,
+  :func:`~repro.graph.build.directed_picks`, is never called.
 
 The subset enumeration is exponential by design — it is only *correct*,
 never fast.  Asking it about a component larger than
@@ -40,12 +47,16 @@ from collections import deque
 from itertools import combinations
 from typing import Container, Iterable, Optional, Sequence
 
+from repro.datasets.base import PointDataset
 from repro.errors import VerificationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
 from repro.graph.dendrogram import cut_smallest_valid, single_linkage_dendrogram
 from repro.graph.unionfind import UnionFind
 from repro.graph.wpg import Edge, WeightedProximityGraph
+from repro.radio.measurement import ProximityMeter
+from repro.radio.rss import RSSModel
+from repro.spatial.grid import GridIndex
 
 #: Hard cap on the component size the exponential oracles accept.  2^12
 #: subsets with a Kruskal scan each stays well under a second.
@@ -70,6 +81,45 @@ def oracle_bounding_box(points: Sequence[Point]) -> Rect:
         if p.y > y_max:
             y_max = p.y
     return Rect(x_min, x_max, y_min, y_max)
+
+
+def oracle_build_wpg(
+    dataset: PointDataset,
+    delta: float,
+    max_peers: int,
+    model: Optional[RSSModel] = None,
+) -> WeightedProximityGraph:
+    """The WPG of ``dataset``, one user at a time (Section VI as it reads).
+
+    Each user keeps its ``max_peers`` closest peers within ``delta``,
+    ranked by ``model`` (default ideal RSS) with ties by id; an edge
+    weighs the smaller of its two ranks, or the one rank when only one
+    side picked.  A stateful ``model`` is read user by user, each user's
+    candidates in ``query_radius`` order — the order the build's kernel
+    must reproduce.
+    """
+    grid = GridIndex(dataset.points, cell_size=delta)
+    meter = ProximityMeter(dataset, model)
+    graph = WeightedProximityGraph()
+    peer_lists: list[list[int]] = []
+    for user in range(len(dataset)):
+        graph.add_vertex(user)
+        nearby = [
+            peer for peer in grid.query_radius(dataset[user], delta) if peer != user
+        ]
+        peer_lists.append(meter.rank_peers(user, nearby)[:max_peers])
+    rank_of = [
+        {peer: rank for rank, peer in enumerate(peers, start=1)}
+        for peers in peer_lists
+    ]
+    for user, peers in enumerate(peer_lists):
+        for rank, peer in enumerate(peers, start=1):
+            if graph.has_edge(user, peer):
+                continue
+            back_rank = rank_of[peer].get(user)
+            weight = rank if back_rank is None else min(rank, back_rank)
+            graph.add_edge(user, peer, float(weight))
+    return graph
 
 
 def _level_component(

@@ -27,11 +27,11 @@ from repro.config import SimulationConfig
 from repro.datasets import gaussian_clusters, grid_points, uniform_points
 from repro.datasets.base import PointDataset
 from repro.errors import VerificationError
-from repro.graph.build import build_wpg, build_wpg_fast
+from repro.graph.build import build_wpg_fast
 from repro.graph.wpg import WeightedProximityGraph
-from repro.radio.measurement import ProximityMeter
-from repro.radio.rss import LogDistanceRSSModel
+from repro.radio.rss import LogDistanceRSSModel, RSSModel
 from repro.radio.tdoa import TDOAModel
+from repro.verify.oracles import oracle_build_wpg
 
 DATASET_KINDS = ("uniform", "gaussian", "grid")
 RADIO_MODELS = ("ideal", "shadowing", "tdoa")
@@ -127,28 +127,27 @@ class BuiltWorld:
     dataset: PointDataset
     config: SimulationConfig
     graph: WeightedProximityGraph
+    #: The same WPG from :func:`~repro.verify.oracles.oracle_build_wpg`.
     scalar_graph: WeightedProximityGraph
     hosts: tuple[int, ...]
 
-    def meter(self) -> Optional[ProximityMeter]:
-        """A fresh proximity meter for this world's radio model.
+    def model(self) -> Optional[RSSModel]:
+        """A fresh radio model instance for this world.
 
         Noisy models carry RNG state, so every WPG build needs its own
         same-seeded instance to stay bit-identical; ``None`` selects the
         builder's default ideal model.
         """
-        return _meter_for(self.world, self.dataset)
+        return _model_for(self.world)
 
 
-def _meter_for(world: World, dataset: PointDataset) -> Optional[ProximityMeter]:
+def _model_for(world: World) -> Optional[RSSModel]:
     if world.radio == "ideal":
         return None
     if world.radio == "shadowing":
-        model = LogDistanceRSSModel(shadowing_sigma_db=2.0, seed=world.seed + 7)
-        return ProximityMeter(dataset, model)
+        return LogDistanceRSSModel(shadowing_sigma_db=2.0, seed=world.seed + 7)
     if world.radio == "tdoa":
-        model = TDOAModel(jitter_sigma=2e-8, seed=world.seed + 7)
-        return ProximityMeter(dataset, model)
+        return TDOAModel(jitter_sigma=2e-8, seed=world.seed + 7)
     raise VerificationError(f"unknown radio model {world.radio!r}")
 
 
@@ -252,11 +251,12 @@ def churn_schedule(world: World) -> list[list[tuple[int, "Point"]]]:
 
 
 def build_world(world: World) -> BuiltWorld:
-    """Realise ``world``: dataset, config, fast AND scalar WPGs, hosts.
+    """Realise ``world``: dataset, config, WPG, oracle WPG, hosts.
 
-    Both WPG builders run with independent same-seeded meters so the
-    fast/scalar differential invariant can compare them on every fuzzed
-    world, noisy radio models included.
+    The builder and :func:`~repro.verify.oracles.oracle_build_wpg` run
+    with independent same-seeded radio models so the differential
+    invariant can compare them on every fuzzed world, noisy radio models
+    included.
     """
     dataset = _dataset_for(world)
     n = len(dataset)
@@ -269,10 +269,10 @@ def build_world(world: World) -> BuiltWorld:
         seed=world.seed,
     )
     graph = build_wpg_fast(
-        dataset, world.delta, world.max_peers, meter=_meter_for(world, dataset)
+        dataset, world.delta, world.max_peers, model=_model_for(world)
     )
-    scalar_graph = build_wpg(
-        dataset, world.delta, world.max_peers, meter=_meter_for(world, dataset)
+    scalar_graph = oracle_build_wpg(
+        dataset, world.delta, world.max_peers, model=_model_for(world)
     )
     rng = np.random.default_rng(world.seed + 1009)
     count = min(world.requests, n)

@@ -20,7 +20,7 @@ from repro.config import SimulationConfig
 from repro.datasets import uniform_points
 from repro.datasets.base import PointDataset
 from repro.geometry.point import Point
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.wpg import WeightedProximityGraph
 
 
@@ -39,7 +39,7 @@ def small_config() -> SimulationConfig:
 
 @pytest.fixture(scope="session")
 def small_graph(small_dataset, small_config) -> WeightedProximityGraph:
-    return build_wpg(
+    return build_wpg_fast(
         small_dataset, small_config.delta, small_config.max_peers
     )
 

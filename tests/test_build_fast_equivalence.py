@@ -1,10 +1,11 @@
 """Scalar/vectorized equivalence: the fast paths must be exact twins.
 
-The vectorized WPG builder and the batch request path are pure
-optimisations — they must produce *identical* results to their scalar
-counterparts, bit for bit, including under noisy radio models whose RNG
-stream order is part of the contract.  These property-style tests sweep
-random populations and parameters and assert exact equality.
+The WPG builder and the batch request path are pure optimisations — they
+must produce *identical* results to their per-user references (the
+builder's is :func:`~repro.verify.oracles.oracle_build_wpg`), bit for
+bit, including under noisy radio models whose RNG stream order is part
+of the contract.  These property-style tests sweep random populations
+and parameters and assert exact equality.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from repro.cloaking.engine import CloakingEngine
 from repro.datasets.base import PointDataset
 from repro.errors import ConfigurationError
 from repro.geometry.point import Point
-from repro.graph.build import build_wpg, build_wpg_fast
-from repro.radio.measurement import ProximityMeter
+from repro.graph.build import build_wpg_fast
 from repro.radio.rss import LogDistanceRSSModel
 from repro.radio.tdoa import TDOAModel
+from repro.verify.oracles import oracle_build_wpg
 
 
 def _random_world(seed: int) -> tuple[PointDataset, float, int]:
@@ -42,10 +43,8 @@ class TestBuildEquivalence:
     @pytest.mark.parametrize("seed", range(6))
     def test_ideal_meter(self, seed):
         dataset, delta, max_peers = _random_world(seed)
-        # validate=True already cross-checks internally; assert again
-        # externally so a broken validator cannot mask a divergence.
-        fast = build_wpg_fast(dataset, delta, max_peers, validate=True)
-        scalar = build_wpg(dataset, delta, max_peers)
+        fast = build_wpg_fast(dataset, delta, max_peers)
+        scalar = oracle_build_wpg(dataset, delta, max_peers)
         assert set(fast.vertices()) == set(scalar.vertices())
         assert _edge_dict(fast) == _edge_dict(scalar)
 
@@ -55,12 +54,8 @@ class TestBuildEquivalence:
         dataset, delta, max_peers = _random_world(100 + seed)
         model_a = LogDistanceRSSModel(shadowing_sigma_db=6.0, seed=seed)
         model_b = LogDistanceRSSModel(shadowing_sigma_db=6.0, seed=seed)
-        scalar = build_wpg(
-            dataset, delta, max_peers, meter=ProximityMeter(dataset, model_a)
-        )
-        fast = build_wpg_fast(
-            dataset, delta, max_peers, meter=ProximityMeter(dataset, model_b)
-        )
+        scalar = oracle_build_wpg(dataset, delta, max_peers, model=model_a)
+        fast = build_wpg_fast(dataset, delta, max_peers, model=model_b)
         assert set(fast.vertices()) == set(scalar.vertices())
         assert _edge_dict(fast) == _edge_dict(scalar)
 
@@ -69,18 +64,14 @@ class TestBuildEquivalence:
         dataset, delta, max_peers = _random_world(200 + seed)
         model_a = TDOAModel(jitter_sigma=1e-9, seed=seed)
         model_b = TDOAModel(jitter_sigma=1e-9, seed=seed)
-        scalar = build_wpg(
-            dataset, delta, max_peers, meter=ProximityMeter(dataset, model_a)
-        )
-        fast = build_wpg_fast(
-            dataset, delta, max_peers, meter=ProximityMeter(dataset, model_b)
-        )
+        scalar = oracle_build_wpg(dataset, delta, max_peers, model=model_a)
+        fast = build_wpg_fast(dataset, delta, max_peers, model=model_b)
         assert _edge_dict(fast) == _edge_dict(scalar)
 
     def test_empty_neighborhoods(self):
         """Far-apart users: no edges, every vertex still present."""
         dataset = PointDataset([Point(0.1, 0.1), Point(0.9, 0.9)])
-        fast = build_wpg_fast(dataset, 0.01, 5, validate=True)
+        fast = build_wpg_fast(dataset, 0.01, 5)
         assert fast.edge_count == 0
         assert set(fast.vertices()) == {0, 1}
 
@@ -110,16 +101,16 @@ class TestDegenerateEquivalence:
     )
     def test_duplicate_heavy_populations(self, pairs, delta, max_peers):
         dataset = PointDataset([Point(x, y) for x, y in pairs])
-        fast = build_wpg_fast(dataset, delta, max_peers, validate=True)
-        scalar = build_wpg(dataset, delta, max_peers)
+        fast = build_wpg_fast(dataset, delta, max_peers)
+        scalar = oracle_build_wpg(dataset, delta, max_peers)
         assert set(fast.vertices()) == set(scalar.vertices())
         assert _edge_dict(fast) == _edge_dict(scalar)
 
     @given(st.lists(_menu, min_size=2, max_size=20), _delta, _max_peers)
     def test_collinear_users(self, xs, delta, max_peers):
         dataset = PointDataset([Point(x, 0.5) for x in xs])
-        fast = build_wpg_fast(dataset, delta, max_peers, validate=True)
-        scalar = build_wpg(dataset, delta, max_peers)
+        fast = build_wpg_fast(dataset, delta, max_peers)
+        scalar = oracle_build_wpg(dataset, delta, max_peers)
         assert _edge_dict(fast) == _edge_dict(scalar)
 
     @given(st.integers(1, 4), st.integers(0, 50), _delta, _max_peers)
@@ -127,16 +118,16 @@ class TestDegenerateEquivalence:
         rng = np.random.default_rng(seed)
         coords = rng.random((n, 2))
         dataset = PointDataset([Point(float(x), float(y)) for x, y in coords])
-        fast = build_wpg_fast(dataset, delta, max_peers, validate=True)
-        scalar = build_wpg(dataset, delta, max_peers)
+        fast = build_wpg_fast(dataset, delta, max_peers)
+        scalar = oracle_build_wpg(dataset, delta, max_peers)
         assert set(fast.vertices()) == set(scalar.vertices()) == set(range(n))
         assert _edge_dict(fast) == _edge_dict(scalar)
 
     @given(st.integers(2, 12), _delta, _max_peers)
     def test_all_users_at_one_point(self, n, delta, max_peers):
         dataset = PointDataset([Point(0.4, 0.6)] * n)
-        fast = build_wpg_fast(dataset, delta, max_peers, validate=True)
-        scalar = build_wpg(dataset, delta, max_peers)
+        fast = build_wpg_fast(dataset, delta, max_peers)
+        scalar = oracle_build_wpg(dataset, delta, max_peers)
         assert _edge_dict(fast) == _edge_dict(scalar)
         assert set(fast.vertices()) == set(range(n))
 

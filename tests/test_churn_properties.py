@@ -122,7 +122,9 @@ def test_mutated_grid_batch_queries_match_fresh(data):
 
     coords = grid.points_array()
     indptr, nbrs = grid.batch_query_radius(radius, centers=coords[live])
-    fresh_indptr, fresh_nbrs = fresh.batch_query_radius(radius)
+    fresh_indptr, fresh_nbrs = fresh.batch_query_radius(
+        radius, centers=fresh.points_array()
+    )
     assert indptr.tolist() == fresh_indptr.tolist()
     assert [to_fresh[i] for i in nbrs.tolist()] == fresh_nbrs.tolist()
 

@@ -276,12 +276,12 @@ class TestGranularity:
         """Granularity growth handles clipping at the unit-square edge."""
         from repro.datasets.base import PointDataset
         from repro.geometry.point import Point
-        from repro.graph.build import build_wpg
+        from repro.graph.build import build_wpg_fast
 
         corner_users = PointDataset(
             [Point(0.001 + 0.002 * i, 0.001 + 0.001 * (i % 3)) for i in range(30)]
         )
-        graph = build_wpg(corner_users, delta=0.05, max_peers=8)
+        graph = build_wpg_fast(corner_users, delta=0.05, max_peers=8)
         config = small_config.with_overrides(user_count=30, k=5)
         engine = CloakingEngine(corner_users, graph, config, min_area=0.05)
         result = engine.request(0)

@@ -5,7 +5,7 @@ import pytest
 from repro.clustering.distributed import DistributedClustering
 from repro.datasets import uniform_points
 from repro.errors import ProtocolError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.concurrency import (
     ConcurrentCloakingCoordinator,
     LockManager,
@@ -51,7 +51,7 @@ class TestConcurrentCoordination:
     @pytest.fixture(scope="class")
     def world(self):
         ds = uniform_points(400, seed=31)
-        graph = build_wpg(ds, delta=0.08, max_peers=8)
+        graph = build_wpg_fast(ds, delta=0.08, max_peers=8)
         return graph
 
     def test_batch_all_terminate(self, world):

@@ -146,13 +146,13 @@ class TestCaliforniaLike:
         rely on (see DESIGN.md): a giant component covering well over
         half the population at Table-I-equivalent density.
         """
-        from repro.graph.build import build_wpg
+        from repro.graph.build import build_wpg_fast
         from repro.graph.components import connected_components
 
         n = 20000
         ds = california_like_poi(n)
         delta = 2e-3 * math.sqrt(104770 / n)
-        graph = build_wpg(ds, delta, 10)
+        graph = build_wpg_fast(ds, delta, 10)
         biggest = max(len(c) for c in connected_components(graph))
         assert biggest > 0.6 * n
 

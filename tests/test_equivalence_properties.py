@@ -16,7 +16,7 @@ from repro.clustering.distributed import DistributedClustering
 from repro.clustering.protocol import P2PClusteringProtocol
 from repro.datasets import uniform_points
 from repro.errors import ClusteringError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.node import populate_network
 from repro.network.simulator import PeerNetwork
 
@@ -30,7 +30,7 @@ def test_property_wire_equals_analytic_clustering(seed, k, host):
     to the analytic involved-user count.
     """
     dataset = uniform_points(120, seed=seed)
-    graph = build_wpg(dataset, delta=0.15, max_peers=6)
+    graph = build_wpg_fast(dataset, delta=0.15, max_peers=6)
     try:
         expected = DistributedClustering(graph, k).request(host)
     except ClusteringError:
@@ -52,7 +52,7 @@ def test_property_wire_equals_analytic_clustering(seed, k, host):
 def test_property_wire_equals_analytic_bounding(seed, step, exponential):
     """Wire-level bounding reaches the same bound as the analytic run."""
     dataset = uniform_points(40, seed=seed)
-    graph = build_wpg(dataset, delta=0.5, max_peers=6)
+    graph = build_wpg_fast(dataset, delta=0.5, max_peers=6)
     network = PeerNetwork()
     populate_network(network, graph, list(dataset.points))
     members = list(range(12))
@@ -75,7 +75,7 @@ def test_property_wire_equals_analytic_bounding(seed, step, exponential):
 def test_property_workload_invariants_random_worlds(seed, k):
     """Across a whole random workload: reciprocity, coverage, anonymity."""
     dataset = uniform_points(150, seed=seed)
-    graph = build_wpg(dataset, delta=0.12, max_peers=6)
+    graph = build_wpg_fast(dataset, delta=0.12, max_peers=6)
     algo = DistributedClustering(graph, k)
     served_members: set[int] = set()
     for host in range(0, 150, 4):

@@ -68,6 +68,26 @@ class TestCLI:
         assert code == 0
         assert "Fig 10" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    def test_fig12_sweep_scales_with_requests(self, source, capsys, monkeypatch):
+        """The paper's S sweep needs 8,000 clusterable hosts; a small
+        population runs the sweep scaled from its workload size, whether
+        that comes from --requests or from REPRO_REQUESTS."""
+        from repro.experiments.__main__ import main
+
+        argv = ["--users", "2500", "--only", "fig12"]
+        if source == "flag":
+            argv += ["--requests", "25"]
+        else:
+            monkeypatch.setenv("REPRO_REQUESTS", "25")
+        code = main(argv)
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "Fig 12" in out
+        # S = max(25 // 2, 10) x (1, 2, 4, 8).
+        rows = {line.split()[0] for line in out.splitlines() if line.strip()}
+        assert {"12", "24", "48", "96"} <= rows
+
     def test_rejects_unknown_experiment(self):
         from repro.experiments.__main__ import main
 

@@ -27,7 +27,7 @@ from repro import obs
 from repro.config import SimulationConfig
 from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.datasets import uniform_points
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.node import populate_network
 from repro.network.reliability import (
@@ -80,7 +80,7 @@ def _policy(seed: int) -> ReliabilityPolicy:
 @pytest.fixture(scope="module")
 def world():
     ds = uniform_points(300, seed=21)
-    graph = build_wpg(ds, delta=0.09, max_peers=8)
+    graph = build_wpg_fast(ds, delta=0.09, max_peers=8)
     return ds, graph
 
 

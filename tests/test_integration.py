@@ -12,7 +12,7 @@ from repro.config import SimulationConfig
 from repro.datasets import california_like_poi
 from repro.errors import ReproError
 from repro.geometry.rect import Rect
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.server.costs import total_request_cost
 from repro.server.poidb import POIDatabase
 from repro.server.queries import filter_exact_knn, range_knn_query
@@ -24,7 +24,7 @@ def world():
         user_count=3000, delta=0.012, max_peers=10, k=8, request_count=40
     )
     dataset = california_like_poi(3000, seed=5)
-    graph = build_wpg(dataset, config.delta, config.max_peers)
+    graph = build_wpg_fast(dataset, config.delta, config.max_peers)
     return config, dataset, graph
 
 

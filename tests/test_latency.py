@@ -122,13 +122,13 @@ class TestCloakingLatency:
         from repro.cloaking.p2p_engine import P2PCloakingSession
         from repro.config import SimulationConfig
         from repro.datasets import uniform_points
-        from repro.graph.build import build_wpg
+        from repro.graph.build import build_wpg_fast
 
         config = SimulationConfig(
             user_count=300, delta=0.09, max_peers=8, k=6
         )
         dataset = uniform_points(300, seed=44)
-        graph = build_wpg(dataset, config.delta, config.max_peers)
+        graph = build_wpg_fast(dataset, config.delta, config.max_peers)
         session = P2PCloakingSession.bootstrapped(dataset, graph, config)
         result = session.request(3)
         # Reconstruct per-direction outcomes by re-running the analytic

@@ -113,13 +113,13 @@ class TestMaterializingView:
         """Step 3's subgraph call must not issue network traffic."""
         from repro.clustering.protocol import _MaterializingView
         from repro.datasets import uniform_points
-        from repro.graph.build import build_wpg
+        from repro.graph.build import build_wpg_fast
         from repro.network.node import populate_network
         from repro.network.remote_graph import RemoteGraphView
         from repro.network.simulator import PeerNetwork
 
         dataset = uniform_points(60, seed=2)
-        graph = build_wpg(dataset, delta=0.3, max_peers=5)
+        graph = build_wpg_fast(dataset, delta=0.3, max_peers=5)
         net = PeerNetwork()
         populate_network(net, graph, list(dataset.points))
         view = _MaterializingView(

@@ -8,7 +8,7 @@ from repro.config import SimulationConfig
 from repro.datasets import uniform_points
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.workloads import sample_hosts
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.mobility.lifetime import run_region_lifetime
 from repro.mobility.waypoint import RandomWaypointModel
 
@@ -127,7 +127,7 @@ class TestRegionLifetime:
         config = SimulationConfig(
             user_count=1500, delta=0.04, max_peers=8, k=6, request_count=30
         )
-        graph = build_wpg(dataset, config.delta, config.max_peers)
+        graph = build_wpg_fast(dataset, config.delta, config.max_peers)
         engine = CloakingEngine(dataset, graph, config, policy="optimal")
         hosts = sample_hosts(graph, config.k, 30, seed=37)
         regions = []

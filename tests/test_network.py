@@ -5,7 +5,7 @@ import pytest
 from repro.datasets import uniform_points
 from repro.errors import ProtocolError
 from repro.geometry.point import Point
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.message import Message, MessageStats
 from repro.network.node import UserDevice, populate_network
@@ -96,7 +96,7 @@ class TestUserDevice:
     @pytest.fixture()
     def wired(self):
         ds = uniform_points(30, seed=6)
-        graph = build_wpg(ds, delta=0.4, max_peers=5)
+        graph = build_wpg_fast(ds, delta=0.4, max_peers=5)
         net = PeerNetwork()
         devices = populate_network(net, graph, list(ds.points))
         return ds, graph, net, devices
@@ -133,7 +133,7 @@ class TestRemoteGraphView:
     @pytest.fixture()
     def wired(self):
         ds = uniform_points(40, seed=8)
-        graph = build_wpg(ds, delta=0.3, max_peers=5)
+        graph = build_wpg_fast(ds, delta=0.3, max_peers=5)
         net = PeerNetwork()
         populate_network(net, graph, list(ds.points))
         return graph, net

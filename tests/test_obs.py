@@ -22,7 +22,7 @@ from repro.bounding.protocol import BoundingOutcome, progressive_upper_bound
 from repro.cloaking.engine import CloakingEngine
 from repro.datasets import uniform_points
 from repro.errors import ConfigurationError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.node import populate_network
 from repro.network.simulator import PeerNetwork
 from repro.obs import names as metric
@@ -327,7 +327,7 @@ class TestMessageAccountingReconciliation:
     @pytest.fixture()
     def world(self):
         ds = uniform_points(40, seed=5)
-        graph = build_wpg(ds, delta=0.5, max_peers=12)
+        graph = build_wpg_fast(ds, delta=0.5, max_peers=12)
         network = PeerNetwork()
         populate_network(network, graph, list(ds.points))
         return ds, graph, network

@@ -25,7 +25,7 @@ from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
 from repro.errors import ConfigurationError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.reliability import ProtocolAbort, ReliabilityPolicy
 from repro.network.simulator import PeerNetwork
@@ -122,7 +122,7 @@ def faulted_world():
         user_count=80, delta=0.12, max_peers=8, k=4, request_count=10
     )
     dataset = uniform_points(80, seed=3)
-    graph = build_wpg(dataset, config.delta, config.max_peers)
+    graph = build_wpg_fast(dataset, config.delta, config.max_peers)
     return config, dataset, graph
 
 

@@ -8,7 +8,7 @@ from repro.config import SimulationConfig
 from repro.datasets import uniform_points
 from repro.errors import ConfigurationError, ProtocolError
 from repro.geometry.rect import Rect
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.wpg import WeightedProximityGraph
 from repro.network.failures import FailurePlan
 from repro.network.simulator import PeerNetwork
@@ -20,7 +20,7 @@ def world():
         user_count=400, delta=0.08, max_peers=8, k=6, request_count=20
     )
     dataset = uniform_points(400, seed=41)
-    graph = build_wpg(dataset, config.delta, config.max_peers)
+    graph = build_wpg_fast(dataset, config.delta, config.max_peers)
     return config, dataset, graph
 
 

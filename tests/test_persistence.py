@@ -7,7 +7,7 @@ from repro.clustering.distributed import DistributedClustering
 from repro.clustering.registry_io import load_registry, save_registry
 from repro.datasets import uniform_points
 from repro.errors import ClusteringError, GraphError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.io import load_wpg, save_wpg
 from repro.graph.wpg import WeightedProximityGraph
 
@@ -15,7 +15,7 @@ from repro.graph.wpg import WeightedProximityGraph
 class TestWPGRoundtrip:
     def test_roundtrip_preserves_everything(self, tmp_path):
         dataset = uniform_points(120, seed=5)
-        graph = build_wpg(dataset, delta=0.12, max_peers=6)
+        graph = build_wpg_fast(dataset, delta=0.12, max_peers=6)
         path = tmp_path / "graph.csv"
         save_wpg(graph, path)
         loaded = load_wpg(path)
@@ -101,7 +101,7 @@ class TestWPGRoundtrip:
         from repro.experiments.workloads import sample_hosts
 
         dataset = uniform_points(200, seed=8)
-        graph = build_wpg(dataset, delta=0.15, max_peers=6)
+        graph = build_wpg_fast(dataset, delta=0.15, max_peers=6)
         host = sample_hosts(graph, 5, 1, seed=0)[0]
         path = tmp_path / "graph.csv"
         save_wpg(graph, path)
@@ -151,7 +151,7 @@ class TestRegistryRoundtrip:
         from repro.experiments.workloads import sample_hosts
 
         dataset = uniform_points(200, seed=8)
-        graph = build_wpg(dataset, delta=0.15, max_peers=6)
+        graph = build_wpg_fast(dataset, delta=0.15, max_peers=6)
         host = sample_hosts(graph, 5, 1, seed=0)[0]
         first_session = DistributedClustering(graph, 5)
         original = first_session.request(host)

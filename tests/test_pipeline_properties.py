@@ -9,7 +9,7 @@ from repro.cloaking.engine import CloakingEngine
 from repro.config import SimulationConfig
 from repro.datasets import gaussian_clusters, uniform_points
 from repro.errors import ReproError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.components import connected_components
 
 
@@ -30,7 +30,7 @@ def test_property_partition_valid_on_dataset_wpgs(seed, k, clustered):
         if clustered
         else uniform_points(300, seed=seed)
     )
-    graph = build_wpg(dataset, delta=0.08, max_peers=6)
+    graph = build_wpg_fast(dataset, delta=0.08, max_peers=6)
     undersized = {
         frozenset(c)
         for c in connected_components(graph)
@@ -55,7 +55,7 @@ def test_property_engine_is_deterministic(seed):
     config = SimulationConfig(
         user_count=250, delta=0.12, max_peers=6, k=5, request_count=10
     )
-    graph = build_wpg(dataset, config.delta, config.max_peers)
+    graph = build_wpg_fast(dataset, config.delta, config.max_peers)
 
     def serve():
         engine = CloakingEngine(dataset, graph, config, policy="secure")
@@ -84,7 +84,7 @@ def test_property_engine_is_deterministic(seed):
 def test_property_greedy_never_worse_count_than_strict(seed, k):
     """Greedy refines strict, so it never produces fewer clusters."""
     dataset = gaussian_clusters(250, clusters=4, spread=0.04, seed=seed)
-    graph = build_wpg(dataset, delta=0.1, max_peers=6)
+    graph = build_wpg_fast(dataset, delta=0.1, max_peers=6)
     strict = strict_partition(graph, k)
     greedy = greedy_partition(graph, k)
     assert len(greedy.clusters) >= len(strict.clusters)

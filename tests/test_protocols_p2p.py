@@ -8,7 +8,7 @@ from repro.clustering.distributed import DistributedClustering
 from repro.clustering.protocol import P2PClusteringProtocol
 from repro.datasets import uniform_points
 from repro.errors import ClusteringError, ProtocolError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.node import populate_network
 from repro.network.simulator import PeerNetwork
@@ -17,7 +17,7 @@ from repro.network.simulator import PeerNetwork
 @pytest.fixture(scope="module")
 def world():
     ds = uniform_points(300, seed=21)
-    graph = build_wpg(ds, delta=0.09, max_peers=8)
+    graph = build_wpg_fast(ds, delta=0.09, max_peers=8)
     return ds, graph
 
 

@@ -9,7 +9,7 @@ from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
 from repro.errors import ConfigurationError, ProtocolError
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.network.failures import FailurePlan
 from repro.network.node import populate_network
 from repro.network.reliability import (
@@ -29,7 +29,7 @@ from repro.obs.registry import MetricsRegistry
 @pytest.fixture(scope="module")
 def world():
     ds = uniform_points(300, seed=21)
-    graph = build_wpg(ds, delta=0.09, max_peers=8)
+    graph = build_wpg_fast(ds, delta=0.09, max_peers=8)
     return ds, graph
 
 

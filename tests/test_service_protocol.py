@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import sys
 import threading
 import time
 
@@ -211,6 +212,103 @@ def test_close_is_idempotent():
     service = CloakingService(SPEC)
     service.close()
     service.close()
+
+
+def test_churn_barriers_run_one_at_a_time():
+    """A second ``apply_moves`` waits until the first barrier reopens
+    the gate, then runs; both batches land, in call order."""
+    spec = ServiceSpec.synthetic(
+        users=120, seed=9, kind="uniform", delta=0.08, k=3, shards=2
+    )
+    with CloakingService(spec) as service:
+        barrier = service._barrier
+        entered: list[list[int]] = []
+        first_inside = threading.Event()
+        release_first = threading.Event()
+
+        def held_barrier(batch):
+            entered.append([user for user, _ in batch])
+            if len(entered) == 1:
+                first_inside.set()
+                release_first.wait(timeout=30.0)
+            return barrier(batch)
+
+        service._barrier = held_barrier
+        summaries: dict[str, dict] = {}
+
+        def churn(name: str, moves: list) -> None:
+            summaries[name] = service.apply_moves(moves)
+
+        first = threading.Thread(target=churn, args=("first", [(5, 0.21, 0.22)]))
+        second = threading.Thread(target=churn, args=("second", [(5, 0.61, 0.62)]))
+        first.start()
+        try:
+            assert first_inside.wait(timeout=30.0)
+            second.start()
+            time.sleep(0.3)
+            # The first barrier is still open: the second must wait outside.
+            assert entered == [[5]]
+        finally:
+            release_first.set()
+            first.join(timeout=30.0)
+            if second.ident is not None:  # started
+                second.join(timeout=30.0)
+        assert entered == [[5], [5]]
+        assert summaries["first"]["moved"] == summaries["second"]["moved"] == 1
+        # The later call's move is the one that stands.
+        point = service._mirror.dataset[5]
+        assert (point.x, point.y) == (0.61, 0.62)
+        assert service.request(5)["host"] == 5
+
+
+def test_concurrent_churn_callers_never_overlap():
+    """Four threads churning at once, with a short switch interval:
+    no two barriers are ever inside at the same time, and every batch
+    lands."""
+    spec = ServiceSpec.synthetic(
+        users=120, seed=9, kind="uniform", delta=0.08, k=3, shards=2
+    )
+    with CloakingService(spec) as service:
+        barrier = service._barrier
+        lock = threading.Lock()
+        inside = [0]
+        seen: list[int] = []
+        errors: list[BaseException] = []
+
+        def counted_barrier(batch):
+            with lock:
+                inside[0] += 1
+                seen.append(inside[0])
+            try:
+                return barrier(batch)
+            finally:
+                with lock:
+                    inside[0] -= 1
+
+        def churn(user: int) -> None:
+            try:
+                for step in range(5):
+                    service.apply_moves([(user, 0.1 + 0.2 * user, 0.1 * (step + 1))])
+            except BaseException as exc:  # surfaced below
+                errors.append(exc)
+
+        service._barrier = counted_barrier
+        threads = [threading.Thread(target=churn, args=(user,)) for user in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(seen) == 20 and max(seen) == 1
+        for user in range(4):
+            point = service._mirror.dataset[user]
+            assert (point.x, point.y) == (0.1 + 0.2 * user, 0.1 * 5)
 
 
 # -- the TCP front door ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from repro.datasets.base import PointDataset
 from repro.errors import VerificationError
 from repro.geometry.point import Point
 from repro.geometry.rect import Rect
-from repro.graph.build import build_wpg
+from repro.graph.build import build_wpg_fast
 from repro.graph.wpg import WeightedProximityGraph
 from repro.verify.oracles import (
     ORACLE_MAX_VERTICES,
@@ -159,7 +159,7 @@ def _random_instance(seed: int):
     dataset = PointDataset([Point(float(x), float(y)) for x, y in coords])
     delta = float(rng.uniform(0.2, 0.8))
     max_peers = int(rng.integers(2, 8))
-    graph = build_wpg(dataset, delta, max_peers)
+    graph = build_wpg_fast(dataset, delta, max_peers)
     k = int(rng.integers(2, n + 1))
     host = int(rng.integers(0, n))
     return dataset, graph, k, host

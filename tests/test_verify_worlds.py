@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.errors import VerificationError
-from repro.radio.measurement import ProximityMeter
+from repro.radio.tdoa import TDOAModel
 from repro.verify.worlds import (
     DATASET_KINDS,
     MODES,
@@ -133,9 +133,11 @@ class TestBuildWorld:
         assert fast == scalar
 
     def test_meter_matches_radio_model(self):
-        assert build_world(World(seed=1)).meter() is None
+        assert build_world(World(seed=1)).model() is None
         noisy = build_world(World(seed=1, radio="tdoa", n=24))
-        assert isinstance(noisy.meter(), ProximityMeter)
+        assert isinstance(noisy.model(), TDOAModel)
+        # Each call hands out a fresh, same-seeded instance.
+        assert noisy.model() is not noisy.model()
 
     def test_build_is_deterministic(self):
         world = random_world(11)
