@@ -10,8 +10,8 @@ Quickstart::
         SimulationConfig, california_like_poi, build_wpg_fast, CloakingEngine,
     )
 
-    config = SimulationConfig(user_count=5000)
-    users = california_like_poi(5000)
+    config = SimulationConfig(user_count=5000, delta=0.009, max_peers=10, k=10)
+    users = california_like_poi(5000, seed=42)
     graph = build_wpg_fast(users, config.delta, config.max_peers)
     engine = CloakingEngine(users, graph, config)
     result = engine.request(host=42)

@@ -44,11 +44,6 @@ from repro.bounding.presets import paper_policy
 from repro.graph.incremental import ChurnPatch, IncrementalWPG
 from repro.graph.io import graph_from_arrays, graph_to_arrays
 from repro.graph.wpg import WeightedProximityGraph
-from repro.network.failures import FailurePlan
-from repro.network.ledger import export_ledgers
-from repro.network.node import populate_network
-from repro.network.reliability import ProtocolAbort, ReliabilityPolicy, resolve
-from repro.network.simulator import PeerNetwork
 from repro.obs import trace as _trace
 from repro.spatial.grid import GridIndex
 
@@ -123,23 +118,15 @@ class CloakingEngine:
         spatial extent on top of k-anonymity.
     clustering:
         Optional custom phase-1 service (overrides ``mode``), e.g. the
-        hilbASR baseline or a message-level protocol.  The string
-        ``"tree"`` opts into the cluster-tree fast path
+        hilbASR baseline.  The string ``"tree"`` opts into the
+        cluster-tree fast path
         (:class:`~repro.clustering.tree.TreeClustering`): the closure
         reading of Algorithm 2 resolved on a persistent bottleneck
         cluster tree, maintained incrementally under :meth:`apply_moves`.
-    reliability:
-        The fault-tolerance knob.  ``None`` or a disabled policy (the
-        default) keeps the analytic request path bit-identical to the
-        failure-oblivious engine.  An *enabled* policy runs every
-        request message-level over an internal peer network with
-        retries, idempotent redelivery, crash eviction and graceful
-        degradation — unrecoverable failures surface as a typed clean
-        :class:`~repro.network.reliability.ProtocolAbort`.  Requires the
-        distributed mode with a progressive policy preset.
-    failure_plan:
-        Failure injection for the internal network; only meaningful (and
-        only accepted) together with an enabled ``reliability`` policy.
+
+    Message-level and fault-tolerant cloaking (retries, crash eviction,
+    typed :class:`~repro.network.reliability.ProtocolAbort` failures)
+    runs in :class:`~repro.cloaking.p2p_engine.P2PCloakingSession`.
     """
 
     def __init__(
@@ -151,8 +138,6 @@ class CloakingEngine:
         policy: str | PolicyBuilder = "secure",
         min_area: float = 0.0,
         clustering: Optional[ClusteringService | str] = None,
-        reliability: Optional[ReliabilityPolicy] = None,
-        failure_plan: Optional[FailurePlan] = None,
     ) -> None:
         if len(dataset) != graph.vertex_count:
             raise ConfigurationError(
@@ -180,26 +165,10 @@ class CloakingEngine:
         self._store: "PersistentStore | None" = None
         self._journal_seq = 0
         self._replaying = False
-        self._devices = None
-        self._reliable_session = self._build_reliable_session(
-            mode, policy, clustering, resolve(reliability), failure_plan
-        )
         self._clustering: ClusteringService
-        if self._reliable_session is not None:
-            # The session's protocol satisfies the registry surface the
-            # batch fast path needs; requests delegate wholesale.
-            self._clustering_kind = "reliable"
-            self._clustering = self._reliable_session._clustering  # type: ignore[assignment]
-            self._regions = self._reliable_session.regions
-            self._policy_builder = self._resolve_policy(policy)
-            return
+        self._clustering_kind = mode
         if clustering == "tree":
             self._clustering_kind = "tree"
-        elif clustering is not None and not isinstance(clustering, str):
-            self._clustering_kind = "custom"
-        else:
-            self._clustering_kind = mode
-        if clustering == "tree":
             self._clustering = TreeClustering(graph, config.k)
         elif isinstance(clustering, str):
             raise ConfigurationError(
@@ -207,8 +176,9 @@ class CloakingEngine:
                 "(the only named opt-in is 'tree')"
             )
         elif clustering is not None:
-            # A custom phase-1 service (e.g. the hilbASR baseline or a
-            # message-level protocol) overrides the mode selection.
+            # A custom phase-1 service (e.g. the hilbASR baseline)
+            # overrides the mode selection.
+            self._clustering_kind = "custom"
             self._clustering = clustering
         elif mode == "distributed":
             self._clustering = DistributedClustering(graph, config.k)
@@ -219,54 +189,7 @@ class CloakingEngine:
         self._policy_builder = self._resolve_policy(policy)
         self._regions: dict[frozenset[int], CloakedRegion] = {}
         # Monotonic so region ids stay unique across invalidations.
-        self._region_counter = 0
-
-    def _build_reliable_session(
-        self,
-        mode: Mode,
-        policy: str | PolicyBuilder,
-        clustering: Optional[ClusteringService],
-        reliability: Optional[ReliabilityPolicy],
-        failure_plan: Optional[FailurePlan],
-    ):
-        """Wire the internal message-level session when reliability is on."""
-        if reliability is None:
-            if failure_plan is not None:
-                raise ConfigurationError(
-                    "failure_plan requires an enabled ReliabilityPolicy: "
-                    "the failure-oblivious engine has no recovery path"
-                )
-            return None
-        if clustering is not None or mode != "distributed":
-            raise ConfigurationError(
-                "ReliabilityPolicy requires the distributed mode "
-                "(the fault-tolerant runtime is a peer protocol)"
-            )
-        if not isinstance(policy, str) or policy == "optimal":
-            raise ConfigurationError(
-                "ReliabilityPolicy requires a progressive policy preset "
-                f"name, got {policy!r}"
-            )
-        if self._min_area > 0.0:
-            raise ConfigurationError(
-                "min_area is not supported together with ReliabilityPolicy"
-            )
-        # Local import: keeps the analytic engine importable without the
-        # message-level stack and avoids any package-order surprises.
-        from repro.cloaking.p2p_engine import P2PCloakingSession
-
-        network = PeerNetwork(failure_plan)
-        self._devices = populate_network(
-            network, self._graph, list(self._dataset.points)
-        )
-        return P2PCloakingSession(
-            network,
-            self._graph,
-            self._dataset,
-            self._config,
-            policy_name=policy,
-            reliability=reliability,
-        )
+        self._next_region_id = 0
 
     def _resolve_policy(self, policy: str | PolicyBuilder) -> PolicyBuilder:
         if policy == "optimal":
@@ -292,24 +215,6 @@ class CloakingEngine:
         return self._dataset
 
     @property
-    def _next_region_id(self) -> int:
-        """The next free region id.
-
-        On the reliability branch the session bounds, and numbers, the
-        regions itself, so its counter is the engine's only one.
-        """
-        if self._reliable_session is not None:
-            return self._reliable_session._next_region_id
-        return self._region_counter
-
-    @_next_region_id.setter
-    def _next_region_id(self, value: int) -> None:
-        if self._reliable_session is not None:
-            self._reliable_session._next_region_id = value
-        else:
-            self._region_counter = value
-
-    @property
     def churn_runtime(self) -> Optional[IncrementalWPG]:
         """The incremental maintainer, once :meth:`apply_moves` has run."""
         return self._churn
@@ -322,20 +227,6 @@ class CloakingEngine:
     def regions_cached(self) -> int:
         """Number of distinct cloaked regions formed so far."""
         return len(self._regions)
-
-    @property
-    def reliable_session(self):  # noqa: ANN201 - Optional[P2PCloakingSession]
-        """The internal message-level session, when reliability is on."""
-        return self._reliable_session
-
-    @property
-    def devices(self):  # noqa: ANN201 - Optional[dict[int, UserDevice]]
-        """The per-user devices of the message-level session, if any.
-
-        Their disclosure ledgers are part of the durable state: a warm
-        restart must not forget what each user already revealed.
-        """
-        return self._devices
 
     def request(self, host: int) -> CloakingResult:
         """Serve one cloaking request end to end.
@@ -353,13 +244,6 @@ class CloakingEngine:
             try:
                 with obs.span(metric.SPAN_REQUEST):
                     result = self._request(host)
-            except ProtocolAbort as exc:
-                # abort() already recorded the typed abort event itself.
-                recorder.record(
-                    _trace.EVT_REQUEST_END, host=host,
-                    status=f"abort:{exc.reason}",
-                )
-                raise
             except Exception as exc:
                 recorder.record(
                     _trace.EVT_REQUEST_END, host=host,
@@ -373,8 +257,6 @@ class CloakingEngine:
             return result
 
     def _request(self, host: int) -> CloakingResult:
-        if self._reliable_session is not None:
-            return self._request_reliable(host)
         with obs.span(metric.SPAN_CLUSTERING):
             cluster_result = self._clustering.request(host)
         members = cluster_result.members
@@ -430,38 +312,6 @@ class CloakingEngine:
             clustering_messages=cluster_result.involved,
             bounding_messages=bounding_messages,
             region_from_cache=False,
-        )
-
-    def _request_reliable(self, host: int) -> CloakingResult:
-        """Delegate one request to the fault-tolerant message-level session.
-
-        The session owns the region cache (``self._regions`` is the same
-        dict), so cache accounting, invalidation and the batch fast path
-        all keep working; a :class:`ProtocolAbort` propagates to the
-        caller as the request's clean typed failure.
-        """
-        result = self._reliable_session.request(host)
-        if obs.enabled():
-            obs.inc(metric.CLOAKING_REQUESTS)
-            obs.inc(
-                metric.CLOAKING_CACHE_HITS
-                if result.region_from_cache
-                else metric.CLOAKING_CACHE_MISSES
-            )
-            if not result.region_from_cache:
-                obs.set_gauge(metric.CLOAKING_REGIONS_CACHED, len(self._regions))
-                obs.observe(
-                    metric.CLOAKING_REGION_AREA,
-                    result.region.rect.area,
-                    bounds=_AREA_BUCKETS,
-                )
-        return CloakingResult(
-            host=result.host,
-            region=result.region,
-            cluster=result.cluster,
-            clustering_messages=result.clustering_messages,
-            bounding_messages=result.bounding_messages,
-            region_from_cache=result.region_from_cache,
         )
 
     def request_many(self, hosts: Iterable[int]) -> list[CloakingResult]:
@@ -621,9 +471,8 @@ class CloakingEngine:
 
         The first call builds the churn runtime (grid index + incremental
         maintainer) from the current positions; an empty batch is a valid
-        warm-up.  Requires the failure-oblivious engine (no reliability
-        policy) and a graph built with a stateless radio model — the
-        default :func:`~repro.graph.build.build_wpg_fast` output
+        warm-up.  Requires a graph built with a stateless radio model —
+        the default :func:`~repro.graph.build.build_wpg_fast` output
         qualifies.
         """
         with _trace.request_scope():
@@ -690,12 +539,6 @@ class CloakingEngine:
 
     def _build_churn_runtime(self) -> IncrementalWPG:
         """First-move setup: mutable dataset, grid, incremental maintainer."""
-        if self._reliable_session is not None:
-            raise ConfigurationError(
-                "apply_moves requires the failure-oblivious engine: the "
-                "message-level reliability session pins devices to their "
-                "initial positions"
-            )
         if not isinstance(self._dataset, MutablePointDataset):
             self._dataset = MutablePointDataset.from_dataset(self._dataset)
         if self._churn_restore is not None:
@@ -768,8 +611,7 @@ class CloakingEngine:
         of a tree-flavored engine is derived data and is not stored:
         :meth:`restore` rebuilds it from the graph.  Meta (JSON):
         config, engine flavor, the region cache, the cluster registry in
-        registration order, centralized partition flags, and (for
-        message-level sessions) every device's disclosure ledger.
+        registration order, and centralized partition flags.
         """
         self._require_persistable()
         if self._churn is None and self._churn_restore is not None:
@@ -799,7 +641,6 @@ class CloakingEngine:
                 "policy": self._policy_spec,
                 "min_area": self._min_area,
                 "clustering": self._clustering_kind,
-                "reliability": self._reliable_session is not None,
                 "has_churn": has_churn,
                 "dataset_name": self._dataset.name,
             },
@@ -823,7 +664,6 @@ class CloakingEngine:
                 sorted(registry.cluster_by_id(cid))
                 for cid in range(len(registry))
             ],
-            "ledgers": export_ledgers(self._devices) if self._devices else None,
         }
         if isinstance(clustering, CentralizedAnonymizer):
             meta["centralized"] = {
@@ -876,11 +716,12 @@ class CloakingEngine:
         with obs.span(metric.SPAN_PERSIST_RESTORE):
             arrays, meta = store.require_latest_snapshot()
             info = meta["engine"]
-            if info["reliability"]:
+            if info.get("reliability"):
+                # Written by engines that served through a message-level
+                # reliability session, which is not replayable.
                 raise PersistError(
                     "cannot restore a reliability-mode engine: the "
-                    "message-level session is not replayable (its "
-                    "snapshots exist for disclosure-ledger audits)"
+                    "message-level session is not replayable"
                 )
             if info["clustering"] == "custom":
                 raise PersistError(

@@ -10,7 +10,9 @@ verification is a ``verify_bound`` round trip
 
 The host's device is the only process that ever sees the gathered data,
 and what it sees is adjacency lists and yes/no answers — never a peer
-coordinate.  Failure injection applies to both phases.
+coordinate.  Failure injection applies to both phases, and with a
+:class:`~repro.network.reliability.ReliabilityPolicy` this session is
+the fault-tolerant runtime (the analytic engine has no failure path).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from repro.network.reliability import (
     ProtocolAbort,
     ReliabilityPolicy,
     ReliableTransport,
-    resolve,
 )
 from repro.network.simulator import PeerNetwork
 from repro.obs import trace as _trace
@@ -75,6 +76,14 @@ class P2PCloakingSession:
         The bounding preset for phase 2 (``secure`` by default).
     retries:
         Per-call retransmission budget under lossy networks.
+    registry:
+        The cluster-assignment registry to share (a fresh one if None).
+    reliability:
+        The fault-tolerance policy: retries with backoff, idempotent
+        redelivery, crash eviction and graceful degradation, with a
+        typed :class:`~repro.network.reliability.ProtocolAbort` as the
+        one clean failure.  ``None`` (the default) is off: failures
+        propagate raw, exactly the failure-oblivious protocol.
     """
 
     def __init__(
@@ -99,7 +108,7 @@ class P2PCloakingSession:
         self._config = config
         self._policy_name = policy_name
         self._retries = retries
-        self._reliability = resolve(reliability)
+        self._reliability = reliability
         # One transport shared by both phases: a crash detected while
         # clustering is already known when bounding starts.
         self._transport = (
@@ -146,12 +155,12 @@ class P2PCloakingSession:
 
     @property
     def transport(self) -> Optional[ReliableTransport]:
-        """The reliable transport, when a policy is enabled."""
+        """The reliable transport, when a policy is given."""
         return self._transport
 
     @property
     def regions(self) -> dict[frozenset[int], CloakedRegion]:
-        """The cluster -> cloaked-region cache (shared with the engine)."""
+        """The cluster -> cloaked-region cache."""
         return self._regions
 
     @property
@@ -168,38 +177,33 @@ class P2PCloakingSession:
         they propagate as raw :class:`~repro.errors.ProtocolError`\\ s,
         exactly the seed behavior.
 
-        Runs under a trace scope of its own; when called from the
-        engine's reliable path it adopts the engine's trace instead, and
-        only the scope *owner* emits the request start/end events.
+        Each call runs under its own trace scope, so every message,
+        retry, eviction and abort it causes carries one trace id.
         """
-        owner = _trace._current is None
         with _trace.request_scope():
             recorder = _trace._recorder
             if recorder is None:
                 return self._request_wire(host)
-            if owner:
-                recorder.record(_trace.EVT_REQUEST_START, host=host)
+            recorder.record(_trace.EVT_REQUEST_START, host=host)
             try:
                 result = self._request_wire(host)
             except ProtocolAbort as exc:
-                if owner:
-                    recorder.record(
-                        _trace.EVT_REQUEST_END, host=host,
-                        status=f"abort:{exc.reason}",
-                    )
-                raise
-            except Exception as exc:
-                if owner:
-                    recorder.record(
-                        _trace.EVT_REQUEST_END, host=host,
-                        status=f"error:{type(exc).__name__}",
-                    )
-                raise
-            if owner:
+                # abort() already recorded the typed abort event itself.
                 recorder.record(
                     _trace.EVT_REQUEST_END, host=host,
-                    status="cache_hit" if result.region_from_cache else "ok",
+                    status=f"abort:{exc.reason}",
                 )
+                raise
+            except Exception as exc:
+                recorder.record(
+                    _trace.EVT_REQUEST_END, host=host,
+                    status=f"error:{type(exc).__name__}",
+                )
+                raise
+            recorder.record(
+                _trace.EVT_REQUEST_END, host=host,
+                status="cache_hit" if result.region_from_cache else "ok",
+            )
             return result
 
     def _request_wire(self, host: int) -> P2PCloakingResult:

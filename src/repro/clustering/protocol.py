@@ -38,7 +38,6 @@ from repro.network.reliability import (
     ReliabilityPolicy,
     ReliableTransport,
     abort,
-    resolve,
 )
 from repro.network.remote_graph import RemoteGraphView
 from repro.network.simulator import MessageDropped, PeerCrashed, PeerNetwork
@@ -85,7 +84,7 @@ class P2PClusteringProtocol:
         self._registry = registry if registry is not None else ClusterRegistry()
         self._method = method
         self._retries = retries
-        self._reliability = resolve(reliability)
+        self._reliability = reliability
         if self._reliability is not None:
             self._transport = (
                 transport

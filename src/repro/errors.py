@@ -49,7 +49,8 @@ class PersistError(ReproError):
 
     Raised by :mod:`repro.persist` for corrupt snapshots, unsupported
     format versions, engines whose configuration is not restorable
-    (custom policy callables, message-level reliability sessions), and
+    (custom policy callables, reliability-mode snapshots of older
+    engines), and
     stores with no snapshot to restore from.  A *torn journal tail* is
     NOT an error — the write-ahead log is truncated at the first
     incomplete record by design.

@@ -4,8 +4,8 @@
 also be concerned, and a balance must be struck between robustness and
 efficiency."  This module is that balance, made explicit:
 
-* :class:`ReliabilityPolicy` — the knob.  Off by default; when off every
-  protocol behaves bit-identically to the failure-oblivious code path.
+* :class:`ReliabilityPolicy` — the knob.  Off by default: wherever a
+  policy is accepted, ``None`` runs the failure-oblivious code path.
 * :class:`ReliableTransport` — per-message timeouts with capped
   exponential backoff and deterministic jitter, sequence-numbered
   retransmissions (the network replays cached answers instead of
@@ -117,10 +117,6 @@ class ReliabilityPolicy:
 
     Parameters
     ----------
-    enabled:
-        Master switch.  ``ReliabilityPolicy.off()`` (or passing ``None``
-        wherever a policy is accepted) reproduces the failure-oblivious
-        behavior bit-identically.
     max_attempts:
         Transmissions per logical call (1 original + retries).
     base_delay / backoff_factor / max_delay:
@@ -141,7 +137,6 @@ class ReliabilityPolicy:
         Seed of the jitter RNG; the same policy replays identically.
     """
 
-    enabled: bool = True
     max_attempts: int = 4
     base_delay: float = 0.05
     backoff_factor: float = 2.0
@@ -176,11 +171,6 @@ class ReliabilityPolicy:
                 f"max_reforms must be >= 0, got {self.max_reforms}"
             )
 
-    @classmethod
-    def off(cls) -> "ReliabilityPolicy":
-        """The disabled policy: failure-oblivious, bit-identical to seed."""
-        return cls(enabled=False)
-
     def delay(self, attempt: int, rng: np.random.Generator) -> float:
         """Backoff before re-sending attempt ``attempt + 1`` (jittered)."""
         raw = min(self.base_delay * self.backoff_factor**attempt, self.max_delay)
@@ -188,13 +178,6 @@ class ReliabilityPolicy:
             return raw
         spread = self.jitter * raw
         return float(raw + rng.uniform(-spread, spread))
-
-
-def resolve(policy: "ReliabilityPolicy | None") -> "ReliabilityPolicy | None":
-    """``policy`` if it is enabled, else None (the two spellings of off)."""
-    if policy is not None and policy.enabled:
-        return policy
-    return None
 
 
 class ReliableTransport:
@@ -213,10 +196,6 @@ class ReliableTransport:
     """
 
     def __init__(self, network: PeerNetwork, policy: ReliabilityPolicy) -> None:
-        if not policy.enabled:
-            raise ConfigurationError(
-                "ReliableTransport requires an enabled ReliabilityPolicy"
-            )
         self._network = network
         self._policy = policy
         self._rng = np.random.default_rng(policy.seed)

@@ -178,11 +178,14 @@ class CloakingService:
         self.close()
 
     def close(self) -> None:
-        """Drain in-flight requests, shut every worker down, reap them."""
+        """Drain in-flight requests and a running barrier, shut every
+        worker down, reap them."""
         if self._closed:
             return
         self._closed = True
-        with self._admission:
+        # Lock order as in _gated: a running barrier finishes first, and
+        # a barrier entered later finds the service closed.
+        with self._barrier_lock, self._admission:
             self._gate_closed = True
             self._admission.wait_for(lambda: self._in_flight == 0, timeout=30.0)
             self._admission.notify_all()  # wake gated waiters into the typed error
@@ -428,6 +431,8 @@ class CloakingService:
         finish reopens the gate under the other.
         """
         with self._barrier_lock:
+            if self._closed:
+                raise ServiceError("service is closed")
             with self._admission:
                 self._gate_closed = True
                 drained = self._admission.wait_for(

@@ -1,10 +1,10 @@
 """The seed-replay invariant fuzzer: ``python -m repro.verify.fuzz``.
 
-Runs N seeded worlds end to end through the real engines
+Runs N seeded worlds end to end through the real runtimes
 (:class:`~repro.cloaking.engine.CloakingEngine`, and
 :class:`~repro.cloaking.p2p_engine.P2PCloakingSession` for the worlds
-flagged for message-level replay), checks every registered invariant,
-and:
+that inject faults or are flagged for message-level replay), checks
+every registered invariant, and:
 
 * prints a per-invariant summary;
 * dumps a minimal JSON repro (the world dict plus the violations) for
@@ -40,11 +40,13 @@ from repro.verify.invariants import (
     ChurnObservation,
     P2PObservation,
     RequestRecord,
+    Server,
     TreeObservation,
     Violation,
     WorldRun,
     check_world,
     registered_invariants,
+    registry_of,
 )
 from repro.verify.transcript import TranscriptRecorder
 from repro.verify.worlds import (
@@ -56,8 +58,25 @@ from repro.verify.worlds import (
 )
 
 
-def _make_engine(built: BuiltWorld) -> CloakingEngine:
+def _make_server(built: BuiltWorld) -> Server:
+    """The runtime that serves the world's own request sequence.
+
+    Faulty worlds go over the wire, through the fault-tolerant session
+    on a peer network that injects the world's losses and crashes.
+    """
     world = built.world
+    if world.faulty:
+        plan = FailurePlan(
+            world.drop_probability, crashed=world.crashed, seed=world.seed
+        )
+        return P2PCloakingSession.bootstrapped(
+            built.dataset,
+            built.graph,
+            built.config,
+            network=PeerNetwork(plan),
+            policy_name=world.policy,
+            reliability=ReliabilityPolicy(),
+        )
     if world.churn_moves:
         # The churn runtime patches the engine's graph in place; each
         # serving pass gets its own copy so built.graph stays the
@@ -69,28 +88,14 @@ def _make_engine(built: BuiltWorld) -> CloakingEngine:
             mode=world.mode,
             policy=world.policy,
         )
-    if world.faulty:
-        return CloakingEngine(
-            built.dataset,
-            built.graph,
-            built.config,
-            mode="distributed",
-            policy=world.policy,
-            reliability=ReliabilityPolicy(),
-            failure_plan=FailurePlan(
-                world.drop_probability, crashed=world.crashed, seed=world.seed
-            ),
-        )
     return CloakingEngine(
         built.dataset, built.graph, built.config, mode=world.mode, policy=world.policy
     )
 
 
-def _request_loop(
-    engine: CloakingEngine, hosts: Sequence[int]
-) -> List[RequestRecord]:
+def _request_loop(server: Server, hosts: Sequence[int]) -> List[RequestRecord]:
     """Serve ``hosts`` in order, recording results and typed failures."""
-    registry = engine.clustering.registry
+    registry = registry_of(server)
     records: List[RequestRecord] = []
     recording = obs.enabled()
     for host in hosts:
@@ -100,7 +105,7 @@ def _request_loop(
         if recording:
             obs.inc(metric.VERIFY_REQUESTS)
         try:
-            record.result = engine.request(host)
+            record.result = server.request(host)
         except ClusteringError as exc:
             record.error = f"{type(exc).__name__}: {exc}"
             record.error_kind = "clustering"
@@ -118,29 +123,29 @@ def _request_loop(
 
 def _serve(
     built: BuiltWorld,
-) -> tuple[CloakingEngine, List[RequestRecord], Optional[ChurnObservation]]:
+) -> tuple[Server, List[RequestRecord], Optional[ChurnObservation]]:
     """One full pass over the world's request sequence (plus churn).
 
-    Churn worlds continue after the first pass: the seeded movement
-    schedule streams through ``engine.apply_moves`` and the same hosts
-    are served again from the incrementally-patched world — the
-    ``churn-incremental-equal`` invariant then compares that world
-    against a from-scratch rebuild.
+    Churn worlds (never faulty, so always engine-served) continue after
+    the first pass: the seeded movement schedule streams through
+    ``engine.apply_moves`` and the same hosts are served again from the
+    incrementally-patched world — the ``churn-incremental-equal``
+    invariant then compares that world against a from-scratch rebuild.
     """
-    engine = _make_engine(built)
-    records = _request_loop(engine, built.hosts)
+    server = _make_server(built)
+    records = _request_loop(server, built.hosts)
     churn: Optional[ChurnObservation] = None
     if built.world.churn_moves:
         moves_applied = 0
         for batch in churn_schedule(built.world):
-            engine.apply_moves(batch)
+            server.apply_moves(batch)
             moves_applied += len(batch)
         churn = ChurnObservation(
-            final_points=engine.dataset.points,
+            final_points=server.dataset.points,
             moves_applied=moves_applied,
-            post_records=_request_loop(engine, built.hosts),
+            post_records=_request_loop(server, built.hosts),
         )
-    return engine, records, churn
+    return server, records, churn
 
 
 def _serve_tree(built: BuiltWorld) -> TreeObservation:
@@ -271,10 +276,10 @@ def run_world(world: World) -> WorldRun:
             _trace.FlightRecorder(capacity=_FUZZ_FLIGHT_CAPACITY)
         )
         try:
-            engine, records, churn = _serve(built)
+            server, records, churn = _serve(built)
         finally:
             _trace.uninstall_recorder()
-        _replay_engine, replay_records, _replay_churn = _serve(built)
+        _replay_server, replay_records, _replay_churn = _serve(built)
         tree = _serve_tree(built)
         p2p = None
         if world.p2p:
@@ -283,9 +288,11 @@ def run_world(world: World) -> WorldRun:
             p2p = _serve_p2p(built)
     if obs.enabled():
         obs.inc(metric.VERIFY_WORLDS)
+    session = server if isinstance(server, P2PCloakingSession) else None
     return WorldRun(
         built=built,
-        engine=engine,
+        engine=None if session is not None else server,
+        session=session,
         records=records,
         replay_records=replay_records,
         p2p=p2p,

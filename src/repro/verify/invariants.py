@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
 from repro import obs
+from repro.clustering.base import ClusterRegistry
 from repro.clustering.centralized import strict_partition
 from repro.clustering.isolation import (
     border_condition_holds,
@@ -24,7 +25,7 @@ from repro.clustering.isolation import (
     smallest_valid_cluster_rule,
 )
 from repro.cloaking.engine import CloakingEngine, CloakingResult
-from repro.cloaking.p2p_engine import P2PCloakingResult
+from repro.cloaking.p2p_engine import P2PCloakingResult, P2PCloakingSession
 from repro.datasets.base import PointDataset
 from repro.errors import VerificationError
 from repro.geometry.point import Point
@@ -72,7 +73,7 @@ class RequestRecord:
 
     host: int
     assigned_before: frozenset[int]
-    result: Optional[CloakingResult] = None
+    result: Optional[CloakingResult | P2PCloakingResult] = None
     error: Optional[str] = None
     error_kind: Optional[str] = None  # "clustering" | "abort" | "unexpected"
 
@@ -134,7 +135,10 @@ class WorldRun:
     """Everything one fuzzed world produced, ready for invariant checks."""
 
     built: BuiltWorld
+    #: The runtime that served ``records``: the engine, or for a faulty
+    #: world the fault-tolerant session (and ``engine`` is None).
     engine: Optional[CloakingEngine]
+    session: Optional[P2PCloakingSession] = None
     records: List[RequestRecord] = field(default_factory=list)
     replay_records: Optional[List[RequestRecord]] = None
     p2p: Optional[P2PObservation] = None
@@ -187,8 +191,19 @@ def check_world(run: WorldRun, names: Optional[List[str]] = None) -> List[Violat
     return violations
 
 
-def _successes(run: WorldRun) -> List[CloakingResult]:
+def _successes(run: WorldRun) -> List[CloakingResult | P2PCloakingResult]:
     return [r.result for r in run.records if r.result is not None]
+
+
+#: Either cloaking runtime: the analytic engine or the wire-level session.
+Server = CloakingEngine | P2PCloakingSession
+
+
+def registry_of(server: Server) -> ClusterRegistry:
+    """The cluster registry of either cloaking runtime."""
+    if isinstance(server, P2PCloakingSession):
+        return server.registry
+    return server.clustering.registry
 
 
 # -- WPG construction ---------------------------------------------------------------
@@ -255,9 +270,10 @@ def _k_anonymity(run: WorldRun) -> List[str]:
                 f"host {result.host}: anonymity {result.region.anonymity} "
                 f"!= cluster size {result.cluster.size}"
             )
-    if run.engine is not None:
+    server = run.session if run.session is not None else run.engine
+    if server is not None:
         try:
-            run.engine.clustering.registry.check_reciprocity()
+            registry_of(server).check_reciprocity()
         except Exception as exc:
             details.append(f"registry reciprocity violated: {exc}")
     return details
@@ -934,9 +950,7 @@ def _trace_ledger_agree(run: WorldRun) -> List[str]:
                     f"first pass: {patches} churn_patch event(s) for "
                     f"{batches} applied batch(es)"
                 )
-        session = (
-            run.engine.reliable_session if run.engine is not None else None
-        )
+        session = run.session
         if session is not None:
             details.extend(
                 _reconcile_traffic(events, session.network, "first pass")

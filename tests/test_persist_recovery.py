@@ -26,13 +26,20 @@ import random
 import pytest
 
 from repro.cloaking.engine import CloakingEngine
+from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
 from repro.datasets.base import MutablePointDataset
 from repro.errors import ClusteringError, ConfigurationError, PersistError
 from repro.geometry.point import Point
 from repro.graph.build import build_wpg_fast
-from repro.network import export_ledgers, import_ledgers
+from repro.network import (
+    PeerNetwork,
+    ReliabilityPolicy,
+    export_ledgers,
+    import_ledgers,
+    populate_network,
+)
 from repro.persist import ChurnJournal, PersistentStore
 from repro.verify.invariants import graph_equality_details
 
@@ -366,32 +373,40 @@ class TestRestoreRefusals:
 
 
 class TestReliabilityEngines:
-    """Checkpoint allowed (ledger audits); restore refused by design."""
+    """Reliability snapshots of older engines are refused; disclosure
+    ledgers round-trip on the message-level session's devices."""
+
+    @staticmethod
+    def _served_devices() -> dict:
+        dataset, graph = _fresh_parts()
+        network = PeerNetwork()
+        devices = populate_network(network, graph, list(dataset.points))
+        session = P2PCloakingSession(
+            network, graph, dataset, CONFIG,
+            reliability=ReliabilityPolicy(seed=5),
+        )
+        serve(session, range(0, USERS, 6))
+        return devices
 
     def test_ledgers_snapshot_and_refused_restore(self, tmp_path):
-        from repro.network import ReliabilityPolicy
-
-        engine = make_engine(reliability=ReliabilityPolicy(seed=5))
+        # Engines that served through a reliability session wrote this
+        # flavor and the devices' ledgers into their snapshots.
+        engine = make_engine()
         serve(engine, range(0, USERS, 6))
+        arrays, meta = engine.snapshot_state()
+        meta["engine"].update(clustering="reliable", reliability=True)
+        meta["ledgers"] = export_ledgers(self._served_devices())
         store = PersistentStore(tmp_path / "store")
-        engine.enable_persistence(store)
-        engine.checkpoint()
-        _, meta = store.require_latest_snapshot()
-        assert meta["engine"]["reliability"] is True
-        ledgers = meta["ledgers"]
-        assert ledgers["format"] == "device-ledgers-v1"
-        exported = export_ledgers(engine.devices)
-        assert ledgers == exported
+        store.checkpoint(engine.journal_seq, arrays, meta)
         with pytest.raises(PersistError, match="reliability"):
             CloakingEngine.restore(store)
-        engine.disable_persistence()
+        store.close()
 
     def test_ledger_roundtrip_restores_disclosures(self):
-        from repro.network import ReliabilityPolicy
-
-        engine = make_engine(reliability=ReliabilityPolicy(seed=5))
-        serve(engine, range(0, USERS, 6))
-        exported = export_ledgers(engine.devices)
-        twin = make_engine(reliability=ReliabilityPolicy(seed=5))
-        import_ledgers(twin.devices, exported)
-        assert export_ledgers(twin.devices) == exported
+        exported = export_ledgers(self._served_devices())
+        assert exported["format"] == "device-ledgers-v1"
+        assert any(entry["questions"] for entry in exported["devices"].values())
+        dataset, graph = _fresh_parts()
+        twin = populate_network(PeerNetwork(), graph, list(dataset.points))
+        import_ledgers(twin, exported)
+        assert export_ledgers(twin) == exported

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro import obs
-from repro.cloaking.engine import CloakingEngine
 from repro.cloaking.p2p_engine import P2PCloakingSession
 from repro.config import SimulationConfig
 from repro.datasets import uniform_points
@@ -19,7 +18,6 @@ from repro.network.reliability import (
     ReliabilityPolicy,
     ReliableTransport,
     abort,
-    resolve,
 )
 from repro.network.simulator import MessageDropped, PeerCrashed, PeerNetwork
 from repro.obs import names as metric
@@ -41,9 +39,18 @@ def _populated(world, plan=None):
 
 
 class TestReliabilityPolicy:
-    def test_defaults_enabled_off_disabled(self):
-        assert ReliabilityPolicy().enabled
-        assert not ReliabilityPolicy.off().enabled
+    def test_defaults_enabled_off_disabled(self, world):
+        # A default policy turns the reliable transport on; None is the
+        # one way to say off.
+        ds, graph = world
+        config = SimulationConfig(k=5)
+        on = P2PCloakingSession.bootstrapped(
+            ds, graph, config, reliability=ReliabilityPolicy()
+        )
+        assert on.transport is not None
+        assert on.transport.policy == ReliabilityPolicy()
+        off = P2PCloakingSession.bootstrapped(ds, graph, config, reliability=None)
+        assert off.transport is None
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -78,16 +85,6 @@ class TestReliabilityPolicy:
         for attempt, delay in enumerate(first):
             raw = min(0.1 * 2.0**attempt, policy.max_delay)
             assert abs(delay - raw) <= 0.2 * raw
-
-    def test_resolve_maps_off_to_none(self):
-        enabled = ReliabilityPolicy()
-        assert resolve(enabled) is enabled
-        assert resolve(ReliabilityPolicy.off()) is None
-        assert resolve(None) is None
-
-    def test_transport_rejects_disabled_policy(self):
-        with pytest.raises(ConfigurationError):
-            ReliableTransport(PeerNetwork(), ReliabilityPolicy.off())
 
 
 class TestFailurePlanValidation:
@@ -259,22 +256,6 @@ class TestProtocolAbort:
 class TestMetamorphic:
     """The two defining equivalences of the runtime (ISSUE satellites)."""
 
-    def test_disabled_policy_is_bit_identical_to_seed_engine(self, world):
-        ds, graph = world
-        config = SimulationConfig(k=5)
-        seed_engine = CloakingEngine(ds, graph, config, policy="secure")
-        off_engine = CloakingEngine(
-            ds, graph, config, policy="secure",
-            reliability=ReliabilityPolicy.off(),
-        )
-        for host in (3, 17, 42, 101):
-            a = seed_engine.request(host)
-            b = off_engine.request(host)
-            assert a.cluster.members == b.cluster.members
-            assert a.region.rect == b.region.rect  # exact float equality
-            assert a.bounding_messages == b.bounding_messages
-            assert a.region_from_cache == b.region_from_cache
-
     def test_enabled_policy_clean_network_matches_seed_session(self, world):
         ds, graph = world
         config = SimulationConfig(k=5)
@@ -318,97 +299,32 @@ class TestMetamorphic:
 
 
 class TestEngineWiring:
-    def test_failure_plan_without_reliability_rejected(self, world):
-        ds, graph = world
-        with pytest.raises(ConfigurationError, match="failure_plan"):
-            CloakingEngine(
-                ds, graph, SimulationConfig(k=5),
-                failure_plan=FailurePlan(drop_probability=0.1),
-            )
-
-    def test_reliability_requires_distributed_progressive(self, world):
-        ds, graph = world
-        config = SimulationConfig(k=5)
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                ds, graph, config, mode="centralized",
-                reliability=ReliabilityPolicy(),
-            )
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                ds, graph, config, policy="optimal",
-                reliability=ReliabilityPolicy(),
-            )
-        with pytest.raises(ConfigurationError):
-            CloakingEngine(
-                ds, graph, config, min_area=0.01,
-                reliability=ReliabilityPolicy(),
-            )
+    """Fault-tolerant cloaking is served by the message-level engine,
+    :class:`P2PCloakingSession` (``repro.cloaking.p2p_engine``)."""
 
     def test_reliable_engine_serves_and_caches(self, world):
         ds, graph = world
         config = SimulationConfig(k=5)
-        engine = CloakingEngine(
+        session = P2PCloakingSession.bootstrapped(
             ds, graph, config,
+            network=PeerNetwork(FailurePlan(drop_probability=0.05, seed=2)),
             reliability=ReliabilityPolicy(seed=2),
-            failure_plan=FailurePlan(drop_probability=0.05, seed=2),
         )
-        first = engine.request(3)
+        first = session.request(3)
         assert first.region.satisfies(config.k)
         member = next(iter(first.cluster.members - {3}))
-        again = engine.request(member)
+        again = session.request(member)
         assert again.region_from_cache
         assert again.region.rect == first.region.rect
-        assert engine.regions_cached == 1
-        batch = engine.request_many([3, member])
-        assert all(r.region_from_cache for r in batch)
-
-    def test_region_ids_stay_unique_after_invalidation(self, world):
-        ds, graph = world
-        engine = CloakingEngine(
-            ds, graph, SimulationConfig(k=5),
-            reliability=ReliabilityPolicy(seed=2),
-        )
-        first = engine.request(3)
-        host = 0
-        while engine.regions_cached < 3:
-            engine.request(host)
-            host += 1
-        assert engine.invalidate_region(first.cluster.members)
-        while engine.regions_cached < 3:
-            engine.request(host)
-            host += 1
-        ids = [r.cluster_id for r in engine.cached_regions().values()]
-        assert len(set(ids)) == len(ids), sorted(ids)
-
-    def test_session_and_engine_share_one_region_counter(self, world):
-        # The session numbers the regions it bounds; the snapshot and an
-        # adopted region must continue that numbering, not restart at 0.
-        ds, graph = world
-        engine = CloakingEngine(
-            ds, graph, SimulationConfig(k=5),
-            reliability=ReliabilityPolicy(seed=2),
-        )
-        for host in (3, 0, 1):
-            engine.request(host)
-        ids = sorted(r.cluster_id for r in engine.cached_regions().values())
-        _arrays, meta = engine.snapshot_state()
-        assert meta["next_region_id"] == max(ids) + 1
-        # Cached keys are k-member clusters, so a singleton key is new.
-        assert engine.adopt_region(
-            [3], engine.request(3).region.rect, anonymity=1
-        )
-        ids = [r.cluster_id for r in engine.cached_regions().values()]
-        assert len(set(ids)) == len(ids), sorted(ids)
-        assert max(ids) == engine.snapshot_state()[1]["next_region_id"] - 1
+        assert len(session.regions) == 1
 
     def test_below_k_aborts_cleanly_with_empty_registry(self, world):
         ds, graph = world
         config = SimulationConfig(k=301)  # unsatisfiable over 300 users
-        engine = CloakingEngine(
+        session = P2PCloakingSession.bootstrapped(
             ds, graph, config, reliability=ReliabilityPolicy(seed=2)
         )
         with pytest.raises(ProtocolAbort) as aborted:
-            engine.request(3)
+            session.request(3)
         assert aborted.value.reason in ABORT_REASONS
-        assert engine.clustering.registry.assigned_count == 0
+        assert session.registry.assigned_count == 0

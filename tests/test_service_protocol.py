@@ -261,6 +261,54 @@ def test_churn_barriers_run_one_at_a_time():
         assert service.request(5)["host"] == 5
 
 
+def test_close_waits_for_a_running_barrier():
+    """``close()`` lets a barrier already inside finish before the
+    workers go down; a later ``apply_moves`` gets the typed closed
+    error."""
+    spec = ServiceSpec.synthetic(
+        users=120, seed=9, kind="uniform", delta=0.08, k=3, shards=2
+    )
+    service = CloakingService(spec)
+    barrier = service._barrier
+    inside = threading.Event()
+    release = threading.Event()
+
+    def held_barrier(batch):
+        inside.set()
+        release.wait(timeout=30.0)
+        return barrier(batch)
+
+    service._barrier = held_barrier
+    summaries: list[dict] = []
+    errors: list[BaseException] = []
+
+    def churn() -> None:
+        try:
+            summaries.append(service.apply_moves([(5, 0.21, 0.22)]))
+        except BaseException as exc:  # surfaced below
+            errors.append(exc)
+
+    churner = threading.Thread(target=churn)
+    closer = threading.Thread(target=service.close)
+    churner.start()
+    try:
+        assert inside.wait(timeout=30.0)
+        closer.start()
+        closer.join(timeout=0.3)
+        # The barrier is still inside: close() must wait for it.
+        assert closer.is_alive()
+    finally:
+        release.set()
+        churner.join(timeout=30.0)
+        if closer.ident is not None:  # started
+            closer.join(timeout=30.0)
+        service.close()
+    assert errors == []
+    assert summaries[0]["moved"] == 1
+    with pytest.raises(ServiceError, match="service is closed"):
+        service.apply_moves([(5, 0.61, 0.62)])
+
+
 def test_concurrent_churn_callers_never_overlap():
     """Four threads churning at once, with a short switch interval:
     no two barriers are ever inside at the same time, and every batch
